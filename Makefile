@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint require-go fuzz-smoke bench-smoke bench-compare resilience-smoke serve-smoke faultfs-smoke bench bench-all
+.PHONY: build test check lint require-go perfbench-check fuzz-smoke bench-smoke bench-compare resilience-smoke serve-smoke faultfs-smoke bench bench-all
 
 # require-go fails fast with a clear message when the Go toolchain is
 # missing or $(GO) points at a nonexistent binary, instead of letting
@@ -26,7 +26,8 @@ lint: require-go
 
 # check is the pre-merge gate: simlint, go vet, the full suite under
 # the race detector (including the multi-core coherence tests in
-# internal/coherence), a short fuzz smoke over the trace decoders, a
+# internal/coherence), vet and tests of the cmd/perfbench module, a
+# short fuzz smoke over the trace decoders, a
 # single-iteration smoke of the sweep-engine benchmarks, the
 # performance regression gate against the committed BENCH_sweep.json
 # scaling matrix, the SIGKILL/resume crash-safety smoke, and the
@@ -39,13 +40,21 @@ check: build
 	$(MAKE) lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	$(MAKE) perfbench-check
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-smoke
 	$(MAKE) bench-compare
 	$(MAKE) resilience-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) faultfs-smoke
-	@echo "check: gates passed: build lint vet race fuzz-smoke bench-smoke bench-compare resilience-smoke serve-smoke faultfs-smoke"
+	@echo "check: gates passed: build lint vet race perfbench-check fuzz-smoke bench-smoke bench-compare resilience-smoke serve-smoke faultfs-smoke"
+
+# perfbench-check vets and tests the benchmark harness in cmd/perfbench.
+# It is a separate Go module, so the root ./... never builds it; this
+# target makes a break in the engine API it calls fail the gate instead
+# of the next benchmark run.
+perfbench-check: require-go
+	cd cmd/perfbench && $(GO) vet ./... && $(GO) test ./...
 
 fuzz-smoke: require-go
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 5s

@@ -72,61 +72,17 @@ func AnalyzeWrites(t *trace.Trace, gapThreshold, window uint64) (WriteReport, er
 	if gapThreshold == 0 || window == 0 {
 		return WriteReport{}, fmt.Errorf("burst: gapThreshold and window must be positive")
 	}
-	r := WriteReport{Window: window}
-	var (
-		now        uint64 // instruction clock
-		lastWrite  uint64
-		runLen     int
-		haveRun    bool
-		winStart   uint64
-		winWrites  uint64
-		totalInstr uint64
-	)
-	endRun := func() {
-		if haveRun && runLen > 0 {
-			r.Bursts[bucketOf(runLen)]++
-			if runLen > r.MaxBurst {
-				r.MaxBurst = runLen
-			}
-		}
-		runLen = 0
-		haveRun = false
-	}
+	m := meter{gap: gapThreshold, window: window}
+	var now uint64 // instruction clock
 	for _, e := range t.Events {
 		now += e.Instructions()
-		if e.Kind != trace.Write {
-			continue
+		if e.Kind == trace.Write {
+			m.add(now)
 		}
-		r.Writes++
-		if haveRun && now-lastWrite <= gapThreshold {
-			runLen++
-		} else {
-			endRun()
-			haveRun = true
-			runLen = 1
-		}
-		lastWrite = now
-
-		// Windowed rate.
-		for now-winStart >= window {
-			rate := float64(winWrites) / float64(window)
-			if rate > r.PeakRate {
-				r.PeakRate = rate
-			}
-			winStart += window
-			winWrites = 0
-		}
-		winWrites++
 	}
-	endRun()
-	totalInstr = now
-	if totalInstr > 0 {
-		r.AvgRate = float64(r.Writes) / float64(totalInstr)
-	}
-	if rate := float64(winWrites) / float64(window); rate > r.PeakRate {
-		r.PeakRate = rate
-	}
-	return r, nil
+	m.finish()
+	return WriteReport{Writes: m.events, Bursts: m.bursts, MaxBurst: m.maxBurst, Window: window,
+		PeakRate: m.peakRate(), AvgRate: m.avgRate(now)}, nil
 }
 
 // VictimReport summarizes dirty-victim burstiness at the back of a
@@ -169,67 +125,79 @@ func AnalyzeVictims(t *trace.Trace, cfg cache.Config, gapThreshold, window uint6
 	if err != nil {
 		return VictimReport{}, err
 	}
-	r := VictimReport{Window: window}
-	var (
-		now      uint64
-		lastWB   uint64
-		prevWBs  uint64
-		runLen   int
-		haveRun  bool
-		winStart uint64
-		winWBs   uint64
-	)
-	endRun := func() {
-		if haveRun && runLen > 0 {
-			r.Bursts[bucketOf(runLen)]++
-			if runLen > r.MaxBurst {
-				r.MaxBurst = runLen
-			}
-		}
-		runLen = 0
-		haveRun = false
-	}
+	m := meter{gap: gapThreshold, window: window}
+	var now, prevWBs uint64
 	for _, e := range t.Events {
 		now += e.Instructions()
 		c.Access(e)
 		wbs := c.Stats().Writebacks
-		newWBs := wbs - prevWBs
-		prevWBs = wbs
-
-		for now-winStart >= window {
-			rate := float64(winWBs) / float64(window)
-			if rate > r.PeakRate {
-				r.PeakRate = rate
-			}
-			if winWBs > r.MaxPending {
-				r.MaxPending = winWBs
-			}
-			winStart += window
-			winWBs = 0
-		}
-
-		for i := uint64(0); i < newWBs; i++ {
-			r.DirtyVictims++
-			winWBs++
-			if haveRun && now-lastWB <= gapThreshold {
-				runLen++
-			} else {
-				endRun()
-				haveRun = true
-				runLen = 1
-			}
-			lastWB = now
+		for ; prevWBs < wbs; prevWBs++ {
+			m.add(now)
 		}
 	}
-	endRun()
-	if winWBs > r.MaxPending {
-		r.MaxPending = winWBs
+	m.finish()
+	return VictimReport{DirtyVictims: m.events, Bursts: m.bursts, MaxBurst: m.maxBurst,
+		MaxPending: m.peak, Window: window, PeakRate: m.peakRate(), AvgRate: m.avgRate(now)}, nil
+}
+
+// meter measures the burstiness of one event stream, fed in time
+// order: maximal runs of events at most gap instructions apart,
+// histogrammed by length, and the most events in any window of window
+// instructions. Windows with no events are closed only when the next
+// event arrives; they cannot raise the peak.
+type meter struct {
+	gap, window uint64
+
+	events   uint64
+	bursts   [6]uint64
+	maxBurst int
+	peak     uint64 // most events in one window
+
+	runLen   int    // length of the open run (0: none yet)
+	last     uint64 // time of the previous event
+	winStart uint64
+	winCount uint64 // events in the open window
+}
+
+// add records one event at instruction time now.
+func (m *meter) add(now uint64) {
+	m.events++
+	if m.runLen > 0 && now-m.last <= m.gap {
+		m.runLen++
+	} else {
+		m.endRun()
+		m.runLen = 1
 	}
-	if rate := float64(winWBs) / float64(window); rate > r.PeakRate {
-		r.PeakRate = rate
+	m.last = now
+	for now-m.winStart >= m.window {
+		m.peak = max(m.peak, m.winCount)
+		m.winStart += m.window
+		m.winCount = 0
 	}
-	if now > 0 {
-		r.AvgRate = float64(r.DirtyVictims) / float64(now)
+	m.winCount++
+}
+
+// endRun histograms the open run, if any.
+func (m *meter) endRun() {
+	if m.runLen > 0 {
+		m.bursts[bucketOf(m.runLen)]++
+		m.maxBurst = max(m.maxBurst, m.runLen)
 	}
-	return r, nil
+}
+
+// finish closes the open run and window.
+func (m *meter) finish() {
+	m.endRun()
+	m.peak = max(m.peak, m.winCount)
+}
+
+// peakRate returns the busiest window's events per instruction.
+func (m *meter) peakRate() float64 { return float64(m.peak) / float64(m.window) }
+
+// avgRate returns events per instruction over total instructions.
+func (m *meter) avgRate(total uint64) float64 {
+	if total == 0 {
+		return 0
+	}
+	return float64(m.events) / float64(total)
 }

@@ -34,8 +34,10 @@ package coherence
 
 import (
 	"fmt"
+	"math"
 
 	"cachewrite/internal/cache"
+	"cachewrite/internal/hierarchy"
 	"cachewrite/internal/trace"
 )
 
@@ -119,29 +121,23 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("coherence: unknown scheme %d", uint8(c.Scheme))
 	}
-	if c.HybridK < 0 {
-		return fmt.Errorf("coherence: negative HybridK %d", c.HybridK)
+	if c.HybridK < 0 || c.HybridK > math.MaxUint16 {
+		return fmt.Errorf("coherence: HybridK %d outside [0,%d]", c.HybridK, math.MaxUint16)
 	}
 	return nil
 }
 
-// Stats aggregates system-wide traffic and coherence counters. The
-// L1ToL2*/L2ToMem* fields mirror hierarchy.Stats semantics exactly, so
-// a 1-core system is stat-identical to the single-core hierarchy.
+// Stats aggregates system-wide traffic and coherence counters.
 type Stats struct {
-	// L1ToL2Transactions/Bytes count everything leaving the L1 complex
-	// toward the shared level: line fetches, dirty write-backs
-	// (including coherence-forced flushes) and write-through words.
-	L1ToL2Transactions uint64
-	L1ToL2Bytes        uint64
-	// L2ToMem* mirror hierarchy.Stats: traffic at the back of the
-	// shared L2, with write-backs charged full line size in
-	// L2ToMemBytes and their dirty bytes recorded separately.
-	L2ToMemTransactions   uint64
-	L2ToMemBytes          uint64
-	L2ToMemWritebacks     uint64
-	L2ToMemWritebackBytes uint64
-	L2ToMemDirtyBytes     uint64
+	// Stats is the traffic of the shared hierarchy.Backside every L1
+	// feeds: L1ToL2* counts everything leaving the L1s toward the
+	// shared level (line fetches, dirty write-backs including
+	// coherence-forced flushes, and write-through words) and L2ToMem*
+	// the traffic at the back of the shared L2. A 1-core system is
+	// therefore stat-identical to the single-core hierarchy. The
+	// write-cache and inclusion counters stay zero: a coherent system
+	// has neither.
+	hierarchy.Stats
 
 	// InvalidationsSent counts write broadcasts (Invalidate scheme)
 	// that removed at least one remote copy; InvalidationsReceived
@@ -178,7 +174,8 @@ func (s Stats) BusBytes() uint64 { return s.L1ToL2Bytes + s.UpdateTrafficBytes }
 // CoreStats is one core's share of the coherence counters (see Stats
 // for field semantics, counted from this core's perspective: Sent
 // counters are broadcasts this core issued, Received counters are
-// actions applied to this core's copies).
+// actions applied to this core's copies). L1ToL2Transactions/Bytes are
+// this core's L1 back-side traffic, flush write-backs included.
 type CoreStats struct {
 	L1ToL2Transactions    uint64
 	L1ToL2Bytes           uint64
@@ -208,7 +205,7 @@ type core struct {
 type System struct {
 	cfg       Config
 	cores     []core
-	l2        *cache.Cache
+	back      *hierarchy.Backside
 	stats     Stats
 	lineSize  uint32
 	lineShift uint
@@ -233,13 +230,9 @@ func New(cfg Config) (*System, error) {
 	for s.lineSize>>s.lineShift > 1 {
 		s.lineShift++
 	}
-	if cfg.L2 != nil {
-		l2, err := cache.New(*cfg.L2)
-		if err != nil {
-			return nil, err
-		}
-		s.l2 = l2
-		l2.SetBackside(&memSink{s: s})
+	var err error
+	if s.back, err = hierarchy.NewBackside(cfg.L2); err != nil {
+		return nil, err
 	}
 	for i := range s.cores {
 		l1, err := cache.New(cfg.L1)
@@ -251,7 +244,7 @@ func New(cfg Config) (*System, error) {
 			invalidated: make(map[uint32]struct{}),
 			hybrid:      make(map[uint32]uint16),
 		}
-		l1.SetBackside(&coreSink{s: s, core: i})
+		l1.SetBackside(s.back)
 	}
 	return s, nil
 }
@@ -266,13 +259,23 @@ func (s *System) Cores() int { return len(s.cores) }
 func (s *System) L1(i int) *cache.Cache { return s.cores[i].l1 }
 
 // L2 returns the shared second-level cache, or nil.
-func (s *System) L2() *cache.Cache { return s.l2 }
+func (s *System) L2() *cache.Cache { return s.back.L2() }
 
 // Stats returns the system-wide counters accumulated so far.
-func (s *System) Stats() Stats { return s.stats }
+func (s *System) Stats() Stats {
+	st := s.stats
+	st.Stats = s.back.Stats()
+	return st
+}
 
 // CoreStats returns core i's coherence counters.
-func (s *System) CoreStats(i int) CoreStats { return s.cores[i].stats }
+func (s *System) CoreStats(i int) CoreStats {
+	st := s.cores[i].stats
+	l1 := s.cores[i].l1.Stats()
+	st.L1ToL2Transactions = l1.BacksideTransactions() + l1.FlushWritebacks
+	st.L1ToL2Bytes = l1.BacksideBytes(false) + l1.FlushWritebacks*uint64(s.cfg.L1.LineSize)
+	return st
+}
 
 // AggregateL1 sums every core's L1 counters — the system-wide view of
 // the paper's per-cache statistics.
@@ -471,9 +474,9 @@ func (s *System) updateRemotes(c int, addr, n uint32, lineNum, lineAddr uint32) 
 	}
 }
 
-// Run replays a multi-core workload to completion: per-core streams
-// are merged by global instruction time (each core's stagger offset
-// applied), ties resolving lowest-core-first for determinism.
+// Run replays a multi-core workload to completion in trace.Merge
+// order: per-core streams by global instruction time (each core's
+// stagger offset applied), ties resolving lowest-core-first.
 func (s *System) Run(w *Workload) error {
 	if w == nil || len(w.PerCore) != len(s.cores) {
 		got := 0
@@ -482,39 +485,7 @@ func (s *System) Run(w *Workload) error {
 		}
 		return fmt.Errorf("coherence: workload has %d per-core traces, system has %d cores", got, len(s.cores))
 	}
-	type cursor struct {
-		c    int
-		i    int
-		when uint64
-	}
-	cs := make([]cursor, 0, len(w.PerCore))
-	for c, t := range w.PerCore {
-		if t.Len() == 0 {
-			continue
-		}
-		var off uint64
-		if c < len(w.Offsets) {
-			off = w.Offsets[c]
-		}
-		cs = append(cs, cursor{c: c, when: off + t.Events[0].Instructions()})
-	}
-	for len(cs) > 0 {
-		best := 0
-		for i := 1; i < len(cs); i++ {
-			if cs[i].when < cs[best].when {
-				best = i
-			}
-		}
-		cu := &cs[best]
-		t := w.PerCore[cu.c]
-		s.Access(cu.c, t.Events[cu.i])
-		cu.i++
-		if cu.i >= t.Len() {
-			cs = append(cs[:best], cs[best+1:]...)
-			continue
-		}
-		cu.when += t.Events[cu.i].Instructions()
-	}
+	trace.Merge(w.Offsets, w.PerCore, func(c int, e trace.Event, _ uint64) { s.Access(c, e) })
 	return nil
 }
 
@@ -524,8 +495,8 @@ func (s *System) Flush() {
 	for i := range s.cores {
 		s.cores[i].l1.Flush()
 	}
-	if s.l2 != nil {
-		s.l2.Flush()
+	if l2 := s.back.L2(); l2 != nil {
+		l2.Flush()
 	}
 }
 
@@ -568,71 +539,4 @@ func spanMask(off, n uint32) uint64 {
 		return ^uint64(0)
 	}
 	return ((uint64(1) << n) - 1) << off
-}
-
-// coreSink receives one core's L1 back-side traffic, mirroring the
-// single-core hierarchy's accounting exactly (the 1-core equivalence
-// tests pin this) while attributing traffic to the issuing core.
-type coreSink struct {
-	s    *System
-	core int
-}
-
-func (k *coreSink) FetchLine(addr uint32, size int) {
-	s := k.s
-	s.stats.L1ToL2Transactions++
-	s.stats.L1ToL2Bytes += uint64(size)
-	c := &s.cores[k.core].stats
-	c.L1ToL2Transactions++
-	c.L1ToL2Bytes += uint64(size)
-	if s.l2 != nil {
-		s.l2.Access(trace.Event{Addr: addr, Size: uint8(size), Kind: trace.Read})
-	}
-}
-
-func (k *coreSink) WritebackLine(addr uint32, size, dirtyBytes int) {
-	s := k.s
-	s.stats.L1ToL2Transactions++
-	s.stats.L1ToL2Bytes += uint64(size)
-	c := &s.cores[k.core].stats
-	c.L1ToL2Transactions++
-	c.L1ToL2Bytes += uint64(size)
-	if s.l2 != nil {
-		s.l2.Access(trace.Event{Addr: addr, Size: uint8(size), Kind: trace.Write})
-	}
-}
-
-func (k *coreSink) WriteWord(addr uint32, size uint8) {
-	s := k.s
-	s.stats.L1ToL2Transactions++
-	s.stats.L1ToL2Bytes += uint64(size)
-	c := &s.cores[k.core].stats
-	c.L1ToL2Transactions++
-	c.L1ToL2Bytes += uint64(size)
-	if s.l2 != nil {
-		s.l2.Access(trace.Event{Addr: addr, Size: size, Kind: trace.Write})
-	}
-}
-
-// memSink counts traffic at the back of the shared L2, mirroring the
-// single-core hierarchy's memSink (including the sub-block dirty-byte
-// accounting).
-type memSink struct{ s *System }
-
-func (m *memSink) FetchLine(addr uint32, size int) {
-	m.s.stats.L2ToMemTransactions++
-	m.s.stats.L2ToMemBytes += uint64(size)
-}
-
-func (m *memSink) WritebackLine(addr uint32, size, dirtyBytes int) {
-	m.s.stats.L2ToMemTransactions++
-	m.s.stats.L2ToMemBytes += uint64(size)
-	m.s.stats.L2ToMemWritebacks++
-	m.s.stats.L2ToMemWritebackBytes += uint64(size)
-	m.s.stats.L2ToMemDirtyBytes += uint64(dirtyBytes)
-}
-
-func (m *memSink) WriteWord(addr uint32, size uint8) {
-	m.s.stats.L2ToMemTransactions++
-	m.s.stats.L2ToMemBytes += uint64(size)
 }

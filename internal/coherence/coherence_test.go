@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 
@@ -80,6 +81,7 @@ func TestConfigValidate(t *testing.T) {
 		{Cores: 2, L1: cache.Config{Size: 3}},
 		{Cores: 2, L1: good.L1, Scheme: Scheme(9)},
 		{Cores: 2, L1: good.L1, HybridK: -1},
+		{Cores: 2, L1: good.L1, Scheme: Hybrid, HybridK: math.MaxUint16 + 1}, // would narrow to a threshold of 0
 		{Cores: 2, L1: good.L1, L2: &cache.Config{Size: 512, LineSize: 8, Assoc: 1,
 			WriteHit: cache.WriteBack, WriteMiss: cache.FetchOnWrite}}, // L2 line < L1 line
 	}
@@ -139,6 +141,78 @@ func TestSingleCoreEquivalence(t *testing.T) {
 				}
 				if ss.InvalidationsSent+ss.UpdatesSent+ss.Interventions+ss.SharingMisses != 0 {
 					t.Fatalf("%s: phantom coherence activity on one core: %+v", name, ss)
+				}
+			}
+		}
+	}
+}
+
+// l1Link returns what the identity of cache c's back side says crossed
+// it: transactions and bytes of fetches, write-backs (flushes counted
+// whole-line) and write-throughs.
+func l1Link(c *cache.Cache) (tx, bytes uint64) {
+	st := c.Stats()
+	tx = st.Fetches + st.Writebacks + st.FlushWritebacks + st.WriteThroughs
+	bytes = st.FetchBytes + st.WritebackBytesFull +
+		st.FlushWritebacks*uint64(c.Config().LineSize) + st.WriteThroughBytes
+	return tx, bytes
+}
+
+// TestBacksideByteConservation: the shared back side counts exactly
+// the traffic the caches in front of it report, at both levels, for
+// every policy pair × scheme × {L2, no L2} at 1, 2 and 4 cores. The
+// link counters equal the sum over every core's L1, and so does the
+// sum of the per-core CoreStats; the memory port equals the L2's own
+// back-side identity, with dirty bytes from write-backs and flushes.
+func TestBacksideByteConservation(t *testing.T) {
+	base := synthTrace(3000, 11, 1<<13)
+	for _, cores := range []int{1, 2, 4} {
+		w, err := BuildWorkload(base, WorkloadConfig{Cores: cores, SharedFraction: 0.5, Stagger: 37})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l1 := range hitMissCombos() {
+			for _, scheme := range Schemes() {
+				for _, withL2 := range []bool{true, false} {
+					var l2 *cache.Config
+					if withL2 {
+						l2 = l2cfg()
+					}
+					sys := mustSystem(t, Config{Cores: cores, L1: l1, L2: l2, Scheme: scheme})
+					if err := sys.Run(w); err != nil {
+						t.Fatal(err)
+					}
+					sys.Flush()
+					name := l1.String() + "/" + scheme.String()
+					st := sys.Stats()
+					var tx, bytes, coreTx, coreBytes uint64
+					for i := 0; i < cores; i++ {
+						ctx, cb := l1Link(sys.L1(i))
+						tx += ctx
+						bytes += cb
+						cs := sys.CoreStats(i)
+						coreTx += cs.L1ToL2Transactions
+						coreBytes += cs.L1ToL2Bytes
+					}
+					if st.L1ToL2Transactions != tx || st.L1ToL2Bytes != bytes {
+						t.Fatalf("%s x%d L2=%v: link %d tx / %dB, L1s report %d tx / %dB",
+							name, cores, withL2, st.L1ToL2Transactions, st.L1ToL2Bytes, tx, bytes)
+					}
+					if coreTx != tx || coreBytes != bytes {
+						t.Fatalf("%s x%d L2=%v: per-core link %d tx / %dB, L1s report %d tx / %dB",
+							name, cores, withL2, coreTx, coreBytes, tx, bytes)
+					}
+					var memTx, memBytes, dirty uint64
+					if withL2 {
+						memTx, memBytes = l1Link(sys.L2())
+						l2s := sys.L2().Stats()
+						dirty = l2s.WritebackBytesDirty + l2s.FlushVictimDirtyBytes
+					}
+					if st.L2ToMemTransactions != memTx || st.L2ToMemBytes != memBytes || st.L2ToMemDirtyBytes != dirty {
+						t.Fatalf("%s x%d L2=%v: memory port %d tx / %dB / %d dirty, L2 reports %d tx / %dB / %d dirty",
+							name, cores, withL2, st.L2ToMemTransactions, st.L2ToMemBytes, st.L2ToMemDirtyBytes,
+							memTx, memBytes, dirty)
+					}
 				}
 			}
 		}

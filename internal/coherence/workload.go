@@ -4,7 +4,7 @@
 // their base addresses so every core touches them at the same place —
 // true sharing with deterministic, address-hashed selection. The
 // per-core streams carry stagger offsets and are merged by instruction
-// time, either inside System.Run (coherent replay) or via
+// time with trace.Merge, either by System.Run (coherent replay) or via
 // trace.InterleaveOffset (a single-cache baseline stream).
 package coherence
 

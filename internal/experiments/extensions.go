@@ -13,6 +13,7 @@ import (
 	"cachewrite/internal/stats"
 	"cachewrite/internal/synth"
 	"cachewrite/internal/timing"
+	"cachewrite/internal/trace"
 	"cachewrite/internal/writebuffer"
 	"cachewrite/internal/writecache"
 )
@@ -274,26 +275,39 @@ func extFaults(e *Env) (Result, error) {
 		wt.WriteHit = cache.WriteThrough
 		wb := stdConfig(StdCacheSize, StdLineSize)
 
-		wtRep, err := faults.Inject(faults.Config{Cache: wt, Scheme: faults.ByteParity, ErrorEvery: 200}, t)
+		wtRep, err := injectL1(wt, faults.ByteParity, t)
 		if err != nil {
 			return Result{}, err
 		}
-		wbPar, err := faults.Inject(faults.Config{Cache: wb, Scheme: faults.ByteParity, ErrorEvery: 200}, t)
+		wbPar, err := injectL1(wb, faults.ByteParity, t)
 		if err != nil {
 			return Result{}, err
 		}
-		wbECC, err := faults.Inject(faults.Config{Cache: wb, Scheme: faults.WordSECECC, ErrorEvery: 200}, t)
+		wbECC, err := injectL1(wb, faults.WordSECECC, t)
 		if err != nil {
 			return Result{}, err
 		}
 		tbl.AddRow(t.Name,
-			fmt.Sprint(wtRep.DataLoss),
-			fmt.Sprint(wbPar.DataLoss),
-			fmt.Sprint(wbECC.DataLoss),
+			fmt.Sprint(wtRep.DUE+wtRep.SDC),
+			fmt.Sprint(wbPar.DUE+wbPar.SDC),
+			fmt.Sprint(wbECC.DUE+wbECC.SDC),
 			fmt.Sprint(wbECC.CorrectedInPlace),
 			fmt.Sprint(wbECC.Injected))
 	}
 	return Result{Table: tbl}, nil
+}
+
+// injectL1 runs ext-faults' single-cache injection: one upset per 200
+// accesses into the L1 of an L1-only hierarchy under scheme s.
+func injectL1(c cache.Config, s faults.Scheme, t *trace.Trace) (faults.LayerReport, error) {
+	cfg := faults.HierarchyConfig{
+		Hierarchy:  hierarchy.Config{L1: c},
+		Layers:     []faults.Layer{faults.LayerL1},
+		ErrorEvery: 200,
+	}
+	cfg.Schemes[faults.LayerL1] = s
+	rep, err := faults.InjectHierarchy(cfg, t)
+	return rep.Layer(faults.LayerL1), err
 }
 
 // extSwitch measures the effect of multiprogramming context switches

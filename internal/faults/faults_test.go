@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cachewrite/internal/cache"
+	"cachewrite/internal/hierarchy"
 	"cachewrite/internal/synth"
 	"cachewrite/internal/trace"
 )
@@ -16,6 +17,29 @@ func wbCfg() cache.Config {
 func wtCfg() cache.Config {
 	return cache.Config{Size: 1 << 10, LineSize: 16, Assoc: 1,
 		WriteHit: cache.WriteThrough, WriteMiss: cache.FetchOnWrite}
+}
+
+// l1Only is the paper's single-cache experiment: an L1-only hierarchy
+// whose L1 alone is struck, under scheme s.
+func l1Only(c cache.Config, s Scheme, every int, seed uint64) HierarchyConfig {
+	cfg := HierarchyConfig{
+		Hierarchy:  hierarchy.Config{L1: c},
+		Layers:     []Layer{LayerL1},
+		ErrorEvery: every,
+		Seed:       seed,
+	}
+	cfg.Schemes[LayerL1] = s
+	return cfg
+}
+
+// injectL1 runs cfg and returns the L1's report.
+func injectL1(t *testing.T, cfg HierarchyConfig, tr *trace.Trace) LayerReport {
+	t.Helper()
+	rep, err := InjectHierarchy(cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep.Layer(LayerL1)
 }
 
 func TestSchemeStrings(t *testing.T) {
@@ -34,17 +58,17 @@ func TestSchemeStrings(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	if err := (Config{Cache: wbCfg(), ErrorEvery: 100}).Validate(); err != nil {
+	if err := l1Only(wbCfg(), ByteParity, 100, 0).Validate(); err != nil {
 		t.Fatalf("good config rejected: %v", err)
 	}
-	if (Config{Cache: cache.Config{}, ErrorEvery: 100}).Validate() == nil {
+	if l1Only(cache.Config{}, ByteParity, 100, 0).Validate() == nil {
 		t.Error("bad cache accepted")
 	}
-	if (Config{Cache: wbCfg(), ErrorEvery: 0}).Validate() == nil {
+	if l1Only(wbCfg(), ByteParity, 0, 0).Validate() == nil {
 		t.Error("zero rate accepted")
 	}
-	if _, err := Inject(Config{}, &trace.Trace{}); err == nil {
-		t.Error("Inject accepted bad config")
+	if _, err := InjectHierarchy(HierarchyConfig{}, &trace.Trace{}); err == nil {
+		t.Error("InjectHierarchy accepted bad config")
 	}
 }
 
@@ -55,15 +79,12 @@ func TestWriteThroughParityNeverLosesData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Inject(Config{Cache: wtCfg(), Scheme: ByteParity, ErrorEvery: 50}, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := injectL1(t, l1Only(wtCfg(), ByteParity, 50, 0), tr)
 	if rep.Injected == 0 {
 		t.Fatal("no errors injected")
 	}
-	if rep.DataLoss != 0 {
-		t.Errorf("write-through + parity lost data %d times", rep.DataLoss)
+	if rep.DUE+rep.SDC != 0 {
+		t.Errorf("write-through + parity lost data %d times", rep.DUE+rep.SDC)
 	}
 	if rep.RecoveredByRefetch != rep.Injected {
 		t.Errorf("recovered %d of %d", rep.RecoveredByRefetch, rep.Injected)
@@ -80,15 +101,12 @@ func TestWriteBackParityLosesDirtyData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Inject(Config{Cache: wbCfg(), Scheme: ByteParity, ErrorEvery: 50}, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.DataLoss == 0 {
+	rep := injectL1(t, l1Only(wbCfg(), ByteParity, 50, 0), tr)
+	if rep.DUE == 0 {
 		t.Error("write-back + parity never lost data on a write-heavy trace")
 	}
-	if rep.LossRate() <= 0 || rep.LossRate() > 1 {
-		t.Errorf("loss rate = %v", rep.LossRate())
+	if rep.SDC != 0 || rep.DUE > rep.Injected {
+		t.Errorf("parity losses must all be detected: %+v", rep)
 	}
 }
 
@@ -97,42 +115,21 @@ func TestWriteBackECCCorrectsSingles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parity, err := Inject(Config{Cache: wbCfg(), Scheme: ByteParity, ErrorEvery: 50}, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ecc, err := Inject(Config{Cache: wbCfg(), Scheme: WordSECECC, ErrorEvery: 50}, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	parity := injectL1(t, l1Only(wbCfg(), ByteParity, 50, 0), tr)
+	ecc := injectL1(t, l1Only(wbCfg(), WordSECECC, 50, 0), tr)
 	if ecc.CorrectedInPlace == 0 {
 		t.Error("ECC corrected nothing")
 	}
-	if ecc.DataLoss >= parity.DataLoss {
+	if ecc.DUE >= parity.DUE {
 		t.Errorf("ECC (%d losses) not better than parity (%d) on a write-back cache",
-			ecc.DataLoss, parity.DataLoss)
+			ecc.DUE, parity.DUE)
 	}
 }
 
 func TestDeterminism(t *testing.T) {
 	tr, _ := synth.HotCold(5, 10000, 16, 16, 1<<16, 80, 40)
-	cfg := Config{Cache: wbCfg(), Scheme: WordSECECC, ErrorEvery: 64, Seed: 42}
-	a, err := Inject(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Inject(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
+	cfg := l1Only(wbCfg(), WordSECECC, 64, 42)
+	if a, b := injectL1(t, cfg, tr), injectL1(t, cfg, tr); a != b {
 		t.Error("injection not deterministic")
-	}
-}
-
-func TestLossRateZeroSafe(t *testing.T) {
-	var r Report
-	if r.LossRate() != 0 {
-		t.Error("zero report divides by zero")
 	}
 }

@@ -120,9 +120,7 @@ type Hierarchy struct {
 	cfg Config
 	l1  *cache.Cache
 	wc  *writecache.Cache
-	l2  *cache.Cache
-
-	stats Stats
+	bs  *Backside
 }
 
 // New builds the hierarchy.
@@ -135,24 +133,22 @@ func New(cfg Config) (*Hierarchy, error) {
 	if h.l1, err = cache.New(cfg.L1); err != nil {
 		return nil, err
 	}
-	if cfg.WriteCache != nil {
-		if h.wc, err = writecache.New(*cfg.WriteCache); err != nil {
-			return nil, err
-		}
-		h.wc.SetOnEvict(func(lineAddr uint32) {
-			h.stats.L1ToL2Transactions++
-			h.stats.L1ToL2Bytes += uint64(h.wc.LineSize())
-			if h.l2 != nil {
-				h.l2.Access(trace.Event{Addr: lineAddr, Size: uint8(h.wc.LineSize()), Kind: trace.Write})
-			}
-		})
+	if h.bs, err = NewBackside(cfg.L2); err != nil {
+		return nil, err
 	}
-	if cfg.L2 != nil {
-		if h.l2, err = cache.New(*cfg.L2); err != nil {
-			return nil, err
-		}
-		h.l2.SetBackside(&memSink{h: h})
+	if cfg.Inclusive {
+		h.bs.l2.SetBackside(inclusivePort{memPort{h.bs}, h})
 	}
+	if cfg.WriteCache == nil {
+		h.l1.SetBackside(h.bs)
+		return h, nil
+	}
+	if h.wc, err = writecache.New(*cfg.WriteCache); err != nil {
+		return nil, err
+	}
+	h.wc.SetOnEvict(func(lineAddr uint32) {
+		h.bs.forward(lineAddr, h.wc.LineSize(), trace.Write)
+	})
 	h.l1.SetBackside(&l1Sink{h: h})
 	return h, nil
 }
@@ -173,8 +169,8 @@ func (h *Hierarchy) Flush() {
 	if h.wc != nil {
 		h.wc.Drain()
 	}
-	if h.l2 != nil {
-		h.l2.Flush()
+	if h.bs.l2 != nil {
+		h.bs.l2.Flush()
 	}
 }
 
@@ -182,16 +178,17 @@ func (h *Hierarchy) Flush() {
 func (h *Hierarchy) L1() *cache.Cache { return h.l1 }
 
 // L2 returns the second-level cache, or nil.
-func (h *Hierarchy) L2() *cache.Cache { return h.l2 }
+func (h *Hierarchy) L2() *cache.Cache { return h.bs.l2 }
 
 // WriteCache returns the write cache, or nil.
 func (h *Hierarchy) WriteCache() *writecache.Cache { return h.wc }
 
 // Stats returns the hierarchy-level traffic counters.
-func (h *Hierarchy) Stats() Stats { return h.stats }
+func (h *Hierarchy) Stats() Stats { return h.bs.stats }
 
-// l1Sink receives L1 back-side traffic, routes write words through the
-// write cache when present, and forwards everything to the L2.
+// l1Sink sits between the L1 and the back side when a write cache is
+// configured: it routes write words through the write cache and, in
+// victim mode, captures clean victims and serves fetches that hit them.
 type l1Sink struct{ h *Hierarchy }
 
 func (s *l1Sink) FetchLine(addr uint32, size int) {
@@ -199,39 +196,20 @@ func (s *l1Sink) FetchLine(addr uint32, size int) {
 	if h.cfg.VictimMode && h.wc.ProbeVictim(addr, uint8(size)) {
 		// The line is a captured victim: refill from the write cache and
 		// skip the lower level entirely.
-		h.stats.VictimHits++
+		h.bs.stats.VictimHits++
 		return
 	}
-	h.stats.L1ToL2Transactions++
-	h.stats.L1ToL2Bytes += uint64(size)
-	if h.l2 != nil {
-		h.l2.Access(trace.Event{Addr: addr, Size: uint8(size), Kind: trace.Read})
-	}
+	h.bs.FetchLine(addr, size)
 }
 
 func (s *l1Sink) WritebackLine(addr uint32, size, dirtyBytes int) {
-	h := s.h
-	h.stats.L1ToL2Transactions++
-	h.stats.L1ToL2Bytes += uint64(size)
-	if h.l2 != nil {
-		h.l2.Access(trace.Event{Addr: addr, Size: uint8(size), Kind: trace.Write})
-	}
+	s.h.bs.WritebackLine(addr, size, dirtyBytes)
 }
 
-func (s *l1Sink) WriteWord(addr uint32, size uint8) {
-	h := s.h
-	if h.wc != nil {
-		// Only write-cache evictions proceed to the next level; the
-		// SetOnEvict handler registered in New accounts them.
-		h.wc.Write(addr, size)
-		return
-	}
-	h.stats.L1ToL2Transactions++
-	h.stats.L1ToL2Bytes += uint64(size)
-	if h.l2 != nil {
-		h.l2.Access(trace.Event{Addr: addr, Size: size, Kind: trace.Write})
-	}
-}
+// WriteWord buffers the word in the write cache; only its evictions
+// proceed to the next level, through the SetOnEvict handler registered
+// in New.
+func (s *l1Sink) WriteWord(addr uint32, size uint8) { s.h.wc.Write(addr, size) }
 
 // ObserveVictim captures clean L1 victims into the write cache when
 // victim mode is on. (Dirty victims cannot occur behind a write-through
@@ -245,37 +223,94 @@ func (s *l1Sink) ObserveVictim(addr uint32, size, dirtyBytes int) {
 	h.wc.AllocateVictim(addr)
 }
 
-// memSink counts traffic at the back of the L2 and, in inclusive mode,
-// back-invalidates the L1 on L2 evictions.
-type memSink struct{ h *Hierarchy }
+// Backside is the one L1→L2→memory accounting path: the link counters
+// at the back of the first level, the optional L2, and the memory-port
+// counters at the back of the L2. It implements cache.Backside. A
+// Hierarchy routes into it after its write-cache and victim handling;
+// a multi-core system attaches every private L1 to one Backside, so
+// the cores share the L2 and the counters.
+type Backside struct {
+	l2    *cache.Cache
+	stats Stats
+}
 
-// ObserveVictim implements cache.VictimObserver for the L2: every L2
-// victim (clean or dirty) back-invalidates its L1 cover when inclusion
-// is enforced.
-func (s *memSink) ObserveVictim(addr uint32, size, dirtyBytes int) {
-	h := s.h
-	if !h.cfg.Inclusive {
-		return
+// NewBackside builds a back side, with an L2 of configuration l2 when
+// l2 is non-nil and a direct path to memory otherwise.
+func NewBackside(l2 *cache.Config) (*Backside, error) {
+	b := &Backside{}
+	if l2 != nil {
+		c, err := cache.New(*l2)
+		if err != nil {
+			return nil, err
+		}
+		c.SetBackside(memPort{b})
+		b.l2 = c
 	}
-	lines, l1Dirty := h.l1.InvalidateRange(addr, size)
-	h.stats.BackInvalidations += uint64(lines)
-	h.stats.InclusionDirtyBytes += uint64(l1Dirty)
+	return b, nil
 }
 
-func (s *memSink) FetchLine(addr uint32, size int) {
-	s.h.stats.L2ToMemTransactions++
-	s.h.stats.L2ToMemBytes += uint64(size)
+// L2 returns the second-level cache, or nil.
+func (b *Backside) L2() *cache.Cache { return b.l2 }
+
+// Stats returns the traffic counters accumulated so far. The back side
+// counts the L1ToL2* and L2ToMem* fields; a Hierarchy adds its
+// write-cache and inclusion counters to the same struct.
+func (b *Backside) Stats() Stats { return b.stats }
+
+// FetchLine implements cache.Backside.
+func (b *Backside) FetchLine(addr uint32, size int) { b.forward(addr, size, trace.Read) }
+
+// WritebackLine implements cache.Backside. Write-backs, including
+// coherence-forced flushes, cross the link as whole lines.
+func (b *Backside) WritebackLine(addr uint32, size, dirtyBytes int) {
+	b.forward(addr, size, trace.Write)
 }
 
-func (s *memSink) WritebackLine(addr uint32, size, dirtyBytes int) {
-	s.h.stats.L2ToMemTransactions++
-	s.h.stats.L2ToMemBytes += uint64(size)
-	s.h.stats.L2ToMemWritebacks++
-	s.h.stats.L2ToMemWritebackBytes += uint64(size)
-	s.h.stats.L2ToMemDirtyBytes += uint64(dirtyBytes)
+// WriteWord implements cache.Backside.
+func (b *Backside) WriteWord(addr uint32, size uint8) { b.forward(addr, int(size), trace.Write) }
+
+// forward counts one L1→L2 transaction of size bytes and passes it to
+// the L2, if any.
+func (b *Backside) forward(addr uint32, size int, kind trace.Kind) {
+	b.stats.L1ToL2Transactions++
+	b.stats.L1ToL2Bytes += uint64(size)
+	if b.l2 != nil {
+		b.l2.Access(trace.Event{Addr: addr, Size: uint8(size), Kind: kind})
+	}
 }
 
-func (s *memSink) WriteWord(addr uint32, size uint8) {
-	s.h.stats.L2ToMemTransactions++
-	s.h.stats.L2ToMemBytes += uint64(size)
+// memPort counts traffic at the back of the L2.
+type memPort struct{ b *Backside }
+
+func (m memPort) FetchLine(addr uint32, size int) {
+	m.b.stats.L2ToMemTransactions++
+	m.b.stats.L2ToMemBytes += uint64(size)
+}
+
+func (m memPort) WritebackLine(addr uint32, size, dirtyBytes int) {
+	st := &m.b.stats
+	st.L2ToMemTransactions++
+	st.L2ToMemBytes += uint64(size)
+	st.L2ToMemWritebacks++
+	st.L2ToMemWritebackBytes += uint64(size)
+	st.L2ToMemDirtyBytes += uint64(dirtyBytes)
+}
+
+func (m memPort) WriteWord(addr uint32, size uint8) {
+	m.b.stats.L2ToMemTransactions++
+	m.b.stats.L2ToMemBytes += uint64(size)
+}
+
+// inclusivePort is the memory port of an inclusive hierarchy: it also
+// implements cache.VictimObserver, so every L2 victim (clean or dirty)
+// back-invalidates its L1 cover.
+type inclusivePort struct {
+	memPort
+	h *Hierarchy
+}
+
+func (p inclusivePort) ObserveVictim(addr uint32, size, dirtyBytes int) {
+	lines, l1Dirty := p.h.l1.InvalidateRange(addr, size)
+	p.b.stats.BackInvalidations += uint64(lines)
+	p.b.stats.InclusionDirtyBytes += uint64(l1Dirty)
 }

@@ -208,7 +208,7 @@ func TestNoL2IsLegal(t *testing.T) {
 }
 
 // TestL2SubblockWritebackAccounting is the regression test for the
-// memSink accounting bug: L2 victim write-backs used to charge only
+// memory-port accounting bug: L2 victim write-backs used to charge only
 // the full line size, discarding the dirty-byte count, so sub-block
 // write-back traffic could not be computed at the L2 backside. A
 // partially dirty L2 victim must show dirty < size.

@@ -155,6 +155,12 @@ func Evaluate(cfg Config, t *trace.Trace) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
+	var b *writebuffer.Buffer
+	if cfg.WriteBuffer != nil && cfg.Cache.WriteHit == cache.WriteThrough {
+		if b, err = writebuffer.New(*cfg.WriteBuffer); err != nil {
+			return Stats{}, err
+		}
+	}
 
 	var s Stats
 	prevWasStore := false // previous *instruction* was a store
@@ -163,6 +169,9 @@ func Evaluate(cfg Config, t *trace.Trace) (Stats, error) {
 		missesBefore := c.Stats().Misses()
 		c.Access(e)
 		missed := c.Stats().Misses() != missesBefore
+		if b != nil {
+			b.Step(e)
+		}
 
 		// Gap instructions are non-memory: they break any store/load
 		// adjacency and give the delayed write a free slot to retire.
@@ -201,13 +210,7 @@ func Evaluate(cfg Config, t *trace.Trace) (Stats, error) {
 	}
 	s.Cache = c.Stats()
 	s.Instructions = s.Cache.Instructions
-
-	if cfg.WriteBuffer != nil && cfg.Cache.WriteHit == cache.WriteThrough {
-		b, err := writebuffer.New(*cfg.WriteBuffer)
-		if err != nil {
-			return Stats{}, err
-		}
-		b.Run(t)
+	if b != nil {
 		s.WriteBufferStalls = b.Stats().StallCycles
 	}
 	return s, nil

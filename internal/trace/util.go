@@ -60,22 +60,6 @@ func Interleave(name string, ts ...*Trace) *Trace {
 // resolve by input order for determinism. The returned stats describe
 // how faithfully the schedule fit the Gap field's capacity.
 func InterleaveOffset(name string, offsets []uint64, ts ...*Trace) (*Trace, InterleaveStats) {
-	type cursor struct {
-		t    *Trace
-		i    int
-		when uint64 // instruction time of the event at i
-	}
-	cs := make([]*cursor, 0, len(ts))
-	for si, t := range ts {
-		if t.Len() == 0 {
-			continue
-		}
-		var off uint64
-		if si < len(offsets) {
-			off = offsets[si]
-		}
-		cs = append(cs, &cursor{t: t, when: off + t.Events[0].Instructions()})
-	}
 	out := &Trace{Name: name}
 	var st InterleaveStats
 	// emitted is the instruction time the output events represent so
@@ -83,23 +67,13 @@ func InterleaveOffset(name string, offsets []uint64, ts ...*Trace) (*Trace, Inte
 	// Their difference is the deficit an oversized gap left behind,
 	// absorbed by later events whose gaps are computed against emitted.
 	var emitted, ideal uint64
-	for len(cs) > 0 {
-		// Pick the earliest event; ties resolve by input order for
-		// determinism (cursor removal below preserves relative order).
-		best := 0
-		for i := 1; i < len(cs); i++ {
-			if cs[i].when < cs[best].when {
-				best = i
-			}
-		}
-		c := cs[best]
-		e := c.t.Events[c.i]
+	Merge(offsets, ts, func(_ int, e Event, when uint64) {
 		gap := uint64(0)
-		if c.when > emitted {
-			gap = c.when - emitted - 1
+		if when > emitted {
+			gap = when - emitted - 1
 		}
-		if c.when > ideal {
-			ideal += c.when - ideal
+		if when > ideal {
+			ideal += when - ideal
 		} else {
 			ideal++
 		}
@@ -113,16 +87,53 @@ func InterleaveOffset(name string, offsets []uint64, ts ...*Trace) (*Trace, Inte
 		if d := ideal - emitted; d > st.CarriedMax {
 			st.CarriedMax = d
 		}
+	})
+	st.LostInstructions = ideal - emitted
+	return out, st
+}
 
+// Merge visits the events of ts in global instruction-time order. Input
+// i starts at instruction time offsets[i] (missing entries mean zero)
+// and each of its events is scheduled Instructions() after the one
+// before it. Ties resolve to the lowest input index, so the schedule is
+// deterministic. visit receives the event's input index in ts (empty
+// inputs keep their index), the event, and its scheduled time.
+func Merge(offsets []uint64, ts []*Trace, visit func(src int, e Event, when uint64)) {
+	type cursor struct {
+		src  int
+		i    int
+		when uint64 // instruction time of the event at i
+	}
+	cs := make([]cursor, 0, len(ts))
+	for si, t := range ts {
+		if t.Len() == 0 {
+			continue
+		}
+		var off uint64
+		if si < len(offsets) {
+			off = offsets[si]
+		}
+		cs = append(cs, cursor{src: si, when: off + t.Events[0].Instructions()})
+	}
+	for len(cs) > 0 {
+		// Cursor removal below preserves relative order, so the first
+		// minimum is the lowest input index.
+		best := 0
+		for i := 1; i < len(cs); i++ {
+			if cs[i].when < cs[best].when {
+				best = i
+			}
+		}
+		c := &cs[best]
+		t := ts[c.src]
+		visit(c.src, t.Events[c.i], c.when)
 		c.i++
-		if c.i >= c.t.Len() {
+		if c.i >= t.Len() {
 			cs = append(cs[:best], cs[best+1:]...)
 			continue
 		}
-		c.when += c.t.Events[c.i].Instructions()
+		c.when += t.Events[c.i].Instructions()
 	}
-	st.LostInstructions = ideal - emitted
-	return out, st
 }
 
 // Rebase returns a copy of the trace with delta added to every address.

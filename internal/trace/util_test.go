@@ -1,6 +1,9 @@
 package trace
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestConcat(t *testing.T) {
 	a := &Trace{Name: "a", Events: []Event{{Addr: 0, Size: 4, Kind: Read}}}
@@ -158,6 +161,29 @@ func TestInterleaveOffsetEmptyInputs(t *testing.T) {
 	}
 	if st != (InterleaveStats{}) {
 		t.Errorf("stats = %+v, want zero", st)
+	}
+}
+
+// TestMergeSourceIndexWithEmptyInputs: Merge reports each event's
+// index in the input list, not its index among the non-empty inputs,
+// and its scheduled time with the input's offset applied. A coherent
+// replay dispatches each event to the core with that index.
+func TestMergeSourceIndexWithEmptyInputs(t *testing.T) {
+	a := &Trace{Events: []Event{{Addr: 0xa0, Size: 4, Kind: Read}, {Addr: 0xa4, Size: 4, Kind: Write, Gap: 4}}}
+	b := &Trace{Events: []Event{{Addr: 0xb0, Size: 4, Kind: Read}}}
+	type visit struct {
+		src  int
+		addr uint32
+		when uint64
+	}
+	var got []visit
+	Merge([]uint64{0, 2, 0, 3}, []*Trace{{}, a, {}, b}, func(src int, e Event, when uint64) {
+		got = append(got, visit{src, e.Addr, when})
+	})
+	// a's events fall at 2+1 and 3+5, b's only event at 3+1.
+	want := []visit{{1, 0xa0, 3}, {3, 0xb0, 4}, {1, 0xa4, 8}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("visits = %+v, want %+v", got, want)
 	}
 }
 
