@@ -1,6 +1,7 @@
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: build test check lint require-go perfbench-check fuzz-smoke bench-smoke bench-compare resilience-smoke serve-smoke faultfs-smoke bench bench-all
+.PHONY: build test check fmt-check lint require-go perfbench-check fuzz-smoke bench-smoke bench-compare resilience-smoke serve-smoke faultfs-smoke bench bench-all
 
 # require-go fails fast with a clear message when the Go toolchain is
 # missing or $(GO) points at a nonexistent binary, instead of letting
@@ -24,11 +25,10 @@ test: require-go
 lint: require-go
 	$(GO) run ./cmd/simlint ./...
 
-# check is the pre-merge gate: simlint, go vet, the full suite under
-# the race detector (including the multi-core coherence tests in
+# check is the pre-merge gate: gofmt, simlint, go vet, the full suite
+# under the race detector (including the multi-core coherence tests in
 # internal/coherence), vet and tests of the cmd/perfbench module, a
-# short fuzz smoke over the trace decoders, a
-# single-iteration smoke of the sweep-engine benchmarks, the
+# short fuzz smoke over the trace decoders, a single-iteration smoke of the sweep-engine benchmarks, the
 # performance regression gate against the committed BENCH_sweep.json
 # scaling matrix, the SIGKILL/resume crash-safety smoke, and the
 # simserved chaos smoke (64 racing clients, 3 server SIGKILLs,
@@ -37,6 +37,7 @@ lint: require-go
 # dir). Lint runs before the race suite so invariant violations fail
 # in seconds, not minutes.
 check: build
+	$(MAKE) fmt-check
 	$(MAKE) lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
@@ -47,7 +48,12 @@ check: build
 	$(MAKE) resilience-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) faultfs-smoke
-	@echo "check: gates passed: build lint vet race perfbench-check fuzz-smoke bench-smoke bench-compare resilience-smoke serve-smoke faultfs-smoke"
+	@echo "check: gates passed: build fmt-check lint vet race perfbench-check fuzz-smoke bench-smoke bench-compare resilience-smoke serve-smoke faultfs-smoke"
+
+# fmt-check fails when any Go file in the tree (the cmd/perfbench
+# module included) is not gofmt-formatted, and lists the offenders.
+fmt-check:
+	@out=$$($(GOFMT) -l .) || exit 1; test -z "$$out" || { echo "fmt-check: files need gofmt:" >&2; echo "$$out" >&2; exit 1; }
 
 # perfbench-check vets and tests the benchmark harness in cmd/perfbench.
 # It is a separate Go module, so the root ./... never builds it; this
@@ -58,7 +64,7 @@ perfbench-check: require-go
 
 fuzz-smoke: require-go
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 5s
-	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzStreamBinary$$' -fuzztime 5s
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadBinaryLenient$$' -fuzztime 5s
 	$(GO) test ./internal/resilience -run '^$$' -fuzz '^FuzzJournalRecover$$' -fuzztime 5s
 
 # bench-smoke compiles and runs every sweep benchmark for one

@@ -63,11 +63,9 @@ func main() {
 	}
 	if *confFile == "" {
 		// Flag-based variants (a -config file carries its own).
-		r, err := core.ParseReplacement(*repl)
-		if err != nil {
+		if err := cfg.L1.Replacement.UnmarshalText([]byte(*repl)); err != nil {
 			fail(err)
 		}
-		cfg.L1.Replacement = r
 		cfg.L1.ValidGranularity = *gran
 		cfg.L1.SectorFetch = *sector
 		cfg.L1.WVMissWriteThrough = *wvWT
@@ -119,31 +117,13 @@ func main() {
 }
 
 func buildConfig(size, line, assoc int, hit, miss string, l2Size, l2Line, wcEntries int) (core.Config, error) {
-	var hitP cache.WriteHitPolicy
-	switch hit {
-	case "write-through", "wt":
-		hitP = cache.WriteThrough
-	case "write-back", "wb":
-		hitP = cache.WriteBack
-	default:
-		return core.Config{}, fmt.Errorf("unknown write-hit policy %q", hit)
+	cfg := core.Config{L1: cache.Config{Size: size, LineSize: line, Assoc: assoc}}
+	if err := cfg.L1.WriteHit.UnmarshalText([]byte(hit)); err != nil {
+		return core.Config{}, err
 	}
-	var missP cache.WriteMissPolicy
-	switch miss {
-	case "fetch-on-write", "fow":
-		missP = cache.FetchOnWrite
-	case "write-validate", "wv":
-		missP = cache.WriteValidate
-	case "write-around", "wa":
-		missP = cache.WriteAround
-	case "write-invalidate", "wi":
-		missP = cache.WriteInvalidate
-	default:
-		return core.Config{}, fmt.Errorf("unknown write-miss policy %q", miss)
+	if err := cfg.L1.WriteMiss.UnmarshalText([]byte(miss)); err != nil {
+		return core.Config{}, err
 	}
-	cfg := core.Config{L1: cache.Config{
-		Size: size, LineSize: line, Assoc: assoc, WriteHit: hitP, WriteMiss: missP,
-	}}
 	if wcEntries > 0 {
 		cfg.WriteCache = &writecache.Config{Entries: wcEntries, LineSize: 8}
 	}

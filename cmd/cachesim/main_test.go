@@ -18,6 +18,8 @@ func TestBuildConfigPolicies(t *testing.T) {
 		{"wt", "fow", cache.WriteThrough, cache.FetchOnWrite},
 		{"write-back", "write-validate", cache.WriteBack, cache.WriteValidate},
 		{"wb", "wv", cache.WriteBack, cache.WriteValidate},
+		{"WB", "WV", cache.WriteBack, cache.WriteValidate},
+		{"Write-Through", "FOW", cache.WriteThrough, cache.FetchOnWrite},
 		{"wt", "wa", cache.WriteThrough, cache.WriteAround},
 		{"wt", "write-around", cache.WriteThrough, cache.WriteAround},
 		{"wt", "wi", cache.WriteThrough, cache.WriteInvalidate},
@@ -40,6 +42,12 @@ func TestBuildConfigErrors(t *testing.T) {
 	}
 	if _, err := buildConfig(8<<10, 16, 1, "wb", "nope", 0, 64, 0); err == nil {
 		t.Error("bad miss policy accepted")
+	}
+	if _, err := buildConfig(8<<10, 16, 1, "", "fow", 0, 64, 0); err == nil {
+		t.Error("empty hit policy accepted")
+	}
+	if _, err := buildConfig(8<<10, 16, 1, "wb", "", 0, 64, 0); err == nil {
+		t.Error("empty miss policy accepted")
 	}
 }
 

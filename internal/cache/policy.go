@@ -14,7 +14,10 @@
 // (Figs 20–25).
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // WriteHitPolicy selects what happens when a write hits in the cache
 // (paper §3).
@@ -254,9 +257,10 @@ func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 // results serialize with policy names rather than enum numbers.
 func (p WriteHitPolicy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
 
-// UnmarshalText implements encoding.TextUnmarshaler.
+// UnmarshalText implements encoding.TextUnmarshaler. It accepts
+// "write-through"/"wt" and "write-back"/"wb", in any case.
 func (p *WriteHitPolicy) UnmarshalText(b []byte) error {
-	switch string(b) {
+	switch strings.ToLower(string(b)) {
 	case "write-through", "wt":
 		*p = WriteThrough
 	case "write-back", "wb":
@@ -270,9 +274,10 @@ func (p *WriteHitPolicy) UnmarshalText(b []byte) error {
 // MarshalText implements encoding.TextMarshaler.
 func (p WriteMissPolicy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
 
-// UnmarshalText implements encoding.TextUnmarshaler.
+// UnmarshalText implements encoding.TextUnmarshaler. It accepts the
+// long names and the short forms fow, wv, wa and wi, in any case.
 func (p *WriteMissPolicy) UnmarshalText(b []byte) error {
-	switch string(b) {
+	switch strings.ToLower(string(b)) {
 	case "fetch-on-write", "fow":
 		*p = FetchOnWrite
 	case "write-validate", "wv":
@@ -290,9 +295,10 @@ func (p *WriteMissPolicy) UnmarshalText(b []byte) error {
 // MarshalText implements encoding.TextMarshaler.
 func (r Replacement) MarshalText() ([]byte, error) { return []byte(r.String()), nil }
 
-// UnmarshalText implements encoding.TextUnmarshaler.
+// UnmarshalText implements encoding.TextUnmarshaler. Names match in
+// any case; the empty name means LRU.
 func (r *Replacement) UnmarshalText(b []byte) error {
-	switch string(b) {
+	switch strings.ToLower(string(b)) {
 	case "lru", "":
 		*r = LRU
 	case "fifo":

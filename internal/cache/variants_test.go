@@ -422,4 +422,25 @@ func TestPolicyTextMarshalling(t *testing.T) {
 	if json.Unmarshal([]byte(`{"repl":"nope"}`), &out) == nil {
 		t.Error("bad replacement accepted")
 	}
+	// Names match in any case; short forms are accepted.
+	if err := json.Unmarshal([]byte(`{"hit":"WT","miss":"WI","repl":"Fifo"}`), &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Hit != WriteThrough || out.Miss != WriteInvalidate || out.Repl != FIFO {
+		t.Errorf("case-insensitive parse gave %+v", out)
+	}
+	// Empty policy names: write-hit and write-miss are required, an
+	// empty replacement means LRU.
+	var hit WriteHitPolicy
+	if hit.UnmarshalText(nil) == nil {
+		t.Error("empty write-hit accepted")
+	}
+	var miss WriteMissPolicy
+	if miss.UnmarshalText(nil) == nil {
+		t.Error("empty write-miss accepted")
+	}
+	repl := Random
+	if err := repl.UnmarshalText(nil); err != nil || repl != LRU {
+		t.Errorf("empty replacement gave %v, %v; want lru", repl, err)
+	}
 }

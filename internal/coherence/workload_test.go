@@ -133,7 +133,7 @@ func TestBuildWorkloadEventCap(t *testing.T) {
 func TestWorkloadInterleaved(t *testing.T) {
 	base := synthTrace(200, 23, 1<<12)
 	// A stagger far beyond the Gap field's capacity exercises the
-	// Interleave gap-split fix inside the coherence layer: total
+	// InterleaveOffset gap-split fix inside the coherence layer: total
 	// instruction time must survive the merge.
 	w, err := BuildWorkload(base, WorkloadConfig{Cores: 2, SharedFraction: 0.25, Stagger: 100000})
 	if err != nil {

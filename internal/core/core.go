@@ -24,7 +24,6 @@ import (
 	"cachewrite/internal/cache"
 	"cachewrite/internal/hierarchy"
 	"cachewrite/internal/trace"
-	"cachewrite/internal/workload"
 )
 
 // Config is the simulated memory system configuration; it aliases
@@ -64,16 +63,6 @@ func Run(cfg Config, t *trace.Trace) (Result, error) {
 		res.L2 = h.L2().Stats()
 	}
 	return res, nil
-}
-
-// RunWorkload generates the named workload at the given scale and runs
-// it through the configuration.
-func RunWorkload(cfg Config, name string, scale int) (Result, error) {
-	t, err := workload.Generate(name, scale)
-	if err != nil {
-		return Result{}, err
-	}
-	return Run(cfg, t)
 }
 
 // PolicyComparison holds the four write-miss policies' results on one

@@ -5,6 +5,7 @@ import (
 
 	"cachewrite/internal/cache"
 	"cachewrite/internal/trace"
+	"cachewrite/internal/workload"
 	"cachewrite/internal/writecache"
 )
 
@@ -69,15 +70,19 @@ func TestRunWithL2AndWriteCache(t *testing.T) {
 }
 
 func TestRunWorkload(t *testing.T) {
-	res, err := RunWorkload(Config{L1: baseCfg()}, "liver", 1)
+	tr, err := workload.Generate("liver", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(Config{L1: baseCfg()}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.L1.Refs() == 0 {
 		t.Error("no references simulated")
 	}
-	if _, err := RunWorkload(Config{L1: baseCfg()}, "nosuch", 1); err == nil {
-		t.Error("unknown workload accepted")
+	if res.Trace != tr.Stats() {
+		t.Errorf("result trace stats %+v, want %+v", res.Trace, tr.Stats())
 	}
 }
 

@@ -91,17 +91,9 @@ type Env struct {
 	computes atomic.Uint64
 }
 
-// NewEnv generates the six paper benchmarks at the given scale.
-func NewEnv(scale int) (*Env, error) {
-	ts, err := workload.GenerateAll(scale)
-	if err != nil {
-		return nil, err
-	}
-	return NewEnvFromTraces(ts), nil
-}
-
-// NewEnvCached is NewEnv backed by the on-disk trace cache at cacheDir
-// (see workload.GenerateCached); an empty dir generates from scratch.
+// NewEnvCached loads the six paper benchmarks at the given scale
+// through the on-disk trace cache at cacheDir (see
+// workload.GenerateCached); an empty dir generates from scratch.
 func NewEnvCached(scale int, cacheDir string) (*Env, error) {
 	ts, err := workload.GenerateAllCached(cacheDir, scale)
 	if err != nil {
@@ -218,29 +210,18 @@ func SweepConfigs() []cache.Config {
 	return cfgs
 }
 
-// Precompute warms the simulation memo for the full figure sweep using
-// the given number of workers (values < 1 mean GOMAXPROCS). Running it
-// before a batch of experiments turns the figure runners into pure
-// lookups. It is safe to skip: every runner computes what it needs on
-// demand.
-func (e *Env) Precompute(workers int) error {
-	return e.PrecomputeContext(context.Background(), workers)
-}
-
-// PrecomputeContext is Precompute with cancellation. The sweep is run
-// by the gang engine — each trace's event slice is streamed once for a
-// whole shard of configurations — on a bounded worker pool that
-// abandons remaining work on the first error or cancellation.
-func (e *Env) PrecomputeContext(ctx context.Context, workers int) error {
-	return e.PrecomputeSweep(ctx, sweep.Options{Workers: workers})
-}
-
-// PrecomputeSweep is PrecomputeContext with the scheduler's full
-// option set: a non-empty opt.Checkpoint makes the figure sweep
-// crash-safe (completed units are journaled and a re-run resumes
-// instead of recomputing), opt.SoftDeadline arms the worker watchdog,
-// and opt.Retries bounds re-attempts of failed units. paperfigs uses
-// this to survive SIGKILL mid-sweep.
+// PrecomputeSweep warms the simulation memo for the full figure sweep.
+// Running it before a batch of experiments turns the figure runners
+// into pure lookups; it is safe to skip, since every runner computes
+// what it needs on demand. The sweep is run by the gang engine — each
+// trace's event slice is streamed once for a whole shard of
+// configurations — on a pool of opt.Workers (< 1 means GOMAXPROCS)
+// that abandons remaining work on the first error or cancellation. A
+// non-empty opt.Checkpoint makes the sweep crash-safe (completed units
+// are journaled and a re-run resumes instead of recomputing),
+// opt.SoftDeadline arms the worker watchdog, and opt.Retries bounds
+// re-attempts of failed units. paperfigs uses this to survive SIGKILL
+// mid-sweep.
 func (e *Env) PrecomputeSweep(ctx context.Context, opt sweep.Options) error {
 	cfgs := SweepConfigs()
 	var units []sweep.Unit

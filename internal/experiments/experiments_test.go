@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"sync"
 	"testing"
 
 	"cachewrite/internal/cache"
+	"cachewrite/internal/sweep"
 	"cachewrite/internal/trace"
 	"cachewrite/internal/workload"
 )
@@ -301,7 +303,7 @@ func TestFig14AverageBand(t *testing.T) {
 
 func TestPrecomputeWarmsMemo(t *testing.T) {
 	env := syntheticEnv()
-	if err := env.Precompute(4); err != nil {
+	if err := env.PrecomputeSweep(context.Background(), sweep.Options{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
 	// Every sweep config must now be memoized: CacheStats returns
@@ -327,13 +329,13 @@ func TestPrecomputeWarmsMemo(t *testing.T) {
 
 func TestPrecomputeWorkerClamp(t *testing.T) {
 	env := syntheticEnv()
-	if err := env.Precompute(0); err != nil {
+	if err := env.PrecomputeSweep(context.Background(), sweep.Options{}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestCacheStatsConcurrent: the memoized environment is safe under
-// concurrent figure runners (Precompute's contract).
+// concurrent figure runners (PrecomputeSweep's contract).
 func TestCacheStatsConcurrent(t *testing.T) {
 	env := syntheticEnv()
 	var wg sync.WaitGroup

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"cachewrite/internal/cache"
-	"cachewrite/internal/core"
 	"cachewrite/internal/workload"
 )
 
@@ -148,26 +147,22 @@ func (s *JobSpec) validate(maxConfigs int) error {
 	return nil
 }
 
-// Configs expands the normalized spec's cartesian grid, skipping
-// invalid combinations exactly like cmd/cachesweep does. Exported so
-// the load harness can rebuild the server's exact configuration
-// order when computing golden results.
+// Configs expands the normalized spec's cartesian grid in size, line,
+// assoc, write-hit, write-miss order, skipping invalid combinations.
+// Exported so cmd/cachesweep and the load harness expand a grid in
+// exactly the server's configuration order.
 func (s *JobSpec) Configs() ([]cache.Config, error) {
-	var hits []cache.WriteHitPolicy
-	for _, h := range s.WriteHits {
-		p, err := core.ParseWriteHit(h)
-		if err != nil {
+	hits := make([]cache.WriteHitPolicy, len(s.WriteHits))
+	for i, h := range s.WriteHits {
+		if err := hits[i].UnmarshalText([]byte(h)); err != nil {
 			return nil, err
 		}
-		hits = append(hits, p)
 	}
-	var misses []cache.WriteMissPolicy
-	for _, m := range s.WriteMisses {
-		p, err := core.ParseWriteMiss(m)
-		if err != nil {
+	misses := make([]cache.WriteMissPolicy, len(s.WriteMisses))
+	for i, m := range s.WriteMisses {
+		if err := misses[i].UnmarshalText([]byte(m)); err != nil {
 			return nil, err
 		}
-		misses = append(misses, p)
 	}
 	var cfgs []cache.Config
 	for _, size := range s.Sizes {
@@ -201,8 +196,8 @@ func (s *JobSpec) deadline(def, max time.Duration) time.Duration {
 	return d
 }
 
-// Row is one configuration's results, mirroring cmd/cachesweep's CSV
-// columns as JSON. Rows are derived deterministically from cache.Stats,
+// Row is one configuration's results: the columns of cmd/cachesweep's
+// CSV, as JSON. Rows are derived deterministically from cache.Stats,
 // so a resumed job reports bytes identical to an uninterrupted one.
 type Row struct {
 	Size                  int     `json:"size"`

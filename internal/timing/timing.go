@@ -15,9 +15,11 @@
 //     dirty and the buffer is full.
 //   - Eliminated write misses (write-validate / write-around /
 //     write-invalidate) do not stall: the paper's central latency win.
-//   - Write-through words enter a coalescing write buffer retired one
-//     entry per WriteRetire cycles; a full buffer stalls the CPU (the
-//     Fig 5 mechanism, here integrated with the rest of the machine).
+//   - Each write-through word takes its own entry in a write buffer
+//     retired one entry per WriteRetire cycles; the buffer does not
+//     coalesce stores to the same word, and a full buffer stalls the
+//     CPU (the Fig 5 mechanism, here integrated with the rest of the
+//     machine).
 //   - Dirty victims enter a victim buffer drained one entry per
 //     WritebackCycles; a refill that produces a dirty victim while the
 //     buffer is full waits for a slot (§3's "dirty victim buffer"
@@ -37,10 +39,11 @@ type Config struct {
 	L1 cache.Config
 	// FetchLatency is the CPU stall per line fetch from the next level.
 	FetchLatency int
-	// WriteBufferEntries is the coalescing write buffer depth for
-	// write-through traffic (ignored if the configuration produces no
-	// write-through words). Zero disables buffering: every
-	// write-through word stalls WriteRetire cycles.
+	// WriteBufferEntries is the write buffer depth for write-through
+	// traffic, one entry per write-through word with no coalescing
+	// (ignored if the configuration produces no write-through words).
+	// Zero disables buffering: every write-through word stalls
+	// WriteRetire cycles.
 	WriteBufferEntries int
 	// WriteRetire is the cycles the next level needs to retire one
 	// write-buffer entry.
@@ -106,7 +109,7 @@ func (s Stats) MemStallCPI() float64 {
 }
 
 // drainQueue models a FIFO drained at a fixed rate: entries become free
-// FixedRate cycles apart once the drain engine reaches them.
+// rate cycles apart once the drain engine reaches them.
 type drainQueue struct {
 	freeAt []uint64 // completion time per occupied slot, FIFO order
 	rate   uint64

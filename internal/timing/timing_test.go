@@ -122,6 +122,17 @@ func TestWriteBufferStall(t *testing.T) {
 	if s.WriteBufferStalls == 0 {
 		t.Error("no write-buffer stalls on a saturating store burst")
 	}
+	// The buffer does not coalesce: back-to-back stores to the same
+	// word each take an entry and stall exactly like distinct words.
+	same, err := Evaluate(cfg, &trace.Trace{Events: []trace.Event{
+		wr(0x100, 0), wr(0x100, 0), wr(0x100, 0),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if same.WriteBufferStalls != s.WriteBufferStalls {
+		t.Errorf("same-word stalls = %d, want %d (as for distinct words)", same.WriteBufferStalls, s.WriteBufferStalls)
+	}
 	// Unbuffered: every word pays the full retire latency.
 	cfg.WriteBufferEntries = 0
 	s, err = Evaluate(cfg, tr)

@@ -124,25 +124,126 @@ func WriteBinary(w io.Writer, t *Trace) error {
 // the first malformed record fails the whole read. Use
 // ReadBinaryLenient to salvage what a damaged file still holds.
 func ReadBinary(r io.Reader) (*Trace, error) {
+	t, _, err := readBinary(r, false)
+	return t, err
+}
+
+// readBinary is the CWT1 decode loop behind ReadBinary and
+// ReadBinaryLenient. Strict mode sizes the event slice from the header
+// and fails on the first malformed record. Lenient mode trusts no
+// header count for allocation, skips records wrapping ErrCorruptRecord
+// and stops at structural damage, reporting both in DecodeStats; it
+// fails only when the header itself is unreadable.
+func readBinary(r io.Reader, lenient bool) (*Trace, DecodeStats, error) {
+	var ds DecodeStats
 	br := bufio.NewReader(r)
 	t := &Trace{}
 	count, err := decodeHeader(br, t)
 	if err != nil {
-		return nil, err
+		return nil, ds, err
 	}
-	if count > 0 && count < 1<<28 {
+	if !lenient && count > 0 && count < 1<<28 {
 		t.Events = make([]Event, 0, count)
 	}
 	prev := uint32(0)
 	for i := uint64(0); i < count; i++ {
 		e, newPrev, err := decodeEvent(br, prev, i)
-		if err != nil {
-			return nil, err
-		}
 		prev = newPrev
+		if err != nil {
+			if !lenient {
+				return nil, ds, err
+			}
+			ds.note(err)
+			if errors.Is(err, ErrCorruptRecord) {
+				ds.Skipped++
+				continue
+			}
+			ds.Truncated = true
+			break
+		}
 		t.Events = append(t.Events, e)
 	}
-	return t, nil
+	ds.Decoded = uint64(len(t.Events))
+	return t, ds, nil
+}
+
+// decodeHeader reads the magic, name and event count into t, returning
+// the declared event count.
+func decodeHeader(br *bufio.Reader, t *Trace) (uint64, error) {
+	var m [4]byte
+	if _, err := io.ReadFull(br, m[:]); err != nil {
+		return 0, err
+	}
+	if m != magic {
+		return 0, ErrBadMagic
+	}
+	nameLen, err := binary.ReadUvarint(br)
+	if err != nil {
+		return 0, fmt.Errorf("trace: reading name length: %w", err)
+	}
+	if nameLen > 1<<16 {
+		return 0, fmt.Errorf("trace: implausible name length %d", nameLen)
+	}
+	name := make([]byte, nameLen)
+	if _, err := io.ReadFull(br, name); err != nil {
+		return 0, fmt.Errorf("trace: reading name: %w", err)
+	}
+	t.Name = string(name)
+	count, err := binary.ReadUvarint(br)
+	if err != nil {
+		return 0, fmt.Errorf("trace: reading event count: %w", err)
+	}
+	return count, nil
+}
+
+// decodeEvent reads one event given the previous address (for delta
+// decoding). Value-range violations (a corrupt but structurally intact
+// record) are reported wrapping ErrCorruptRecord so lenient decoding
+// can skip the record and resynchronize on the next tag byte; I/O and
+// varint-framing failures are returned as-is and end the stream. The
+// returned address is the delta base for the next event, advanced as
+// far as decoding got even when the record is rejected.
+func decodeEvent(br *bufio.Reader, prev uint32, i uint64) (Event, uint32, error) {
+	tag, err := br.ReadByte()
+	if err != nil {
+		return Event{}, prev, fmt.Errorf("trace: event %d tag: %w", i, err)
+	}
+	var e Event
+	if tag&tagKindWrite != 0 {
+		e.Kind = Write
+	}
+	e.Size = 1 << ((tag & tagSizeMask) >> tagSizeShift)
+	if tag&tagDelta != 0 {
+		d, err := binary.ReadVarint(br)
+		if err != nil {
+			return Event{}, prev, fmt.Errorf("trace: event %d delta: %w", i, err)
+		}
+		a := int64(prev) + d
+		if a < 0 || a > int64(^uint32(0)) {
+			return Event{}, prev, fmt.Errorf("trace: event %d: %w: delta %d from 0x%x leaves the address space", i, ErrCorruptRecord, d, prev)
+		}
+		e.Addr = uint32(a)
+	} else {
+		a, err := binary.ReadUvarint(br)
+		if err != nil {
+			return Event{}, prev, fmt.Errorf("trace: event %d addr: %w", i, err)
+		}
+		if a > uint64(^uint32(0)) {
+			return Event{}, prev, fmt.Errorf("trace: event %d: %w: address 0x%x exceeds 32 bits", i, ErrCorruptRecord, a)
+		}
+		e.Addr = uint32(a)
+	}
+	if tag&tagHasGap != 0 {
+		g, err := binary.ReadUvarint(br)
+		if err != nil {
+			return Event{}, e.Addr, fmt.Errorf("trace: event %d gap: %w", i, err)
+		}
+		if g > 0xffff {
+			return Event{}, e.Addr, fmt.Errorf("trace: event %d: %w: gap %d exceeds 16 bits", i, ErrCorruptRecord, g)
+		}
+		e.Gap = uint16(g)
+	}
+	return e, e.Addr, nil
 }
 
 // WriteText encodes the trace in a line-oriented, human-readable format:

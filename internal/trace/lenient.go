@@ -1,21 +1,19 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 )
 
 // Lenient decoding: a damaged trace file degrades into a
-// partial-but-reported run instead of aborting it. The strict readers
-// (ReadBinary, StreamBinary) treat any malformed record as fatal; the
-// lenient variants skip records whose values are out of range (bit
-// flips in stored fields) and stop early — keeping everything decoded
-// so far — when the stream becomes structurally undecodable
-// (truncation, broken varint framing). Either way the caller learns
-// exactly what was lost via DecodeStats.
+// partial-but-reported run instead of aborting it. The strict reader
+// (ReadBinary) treats any malformed record as fatal; ReadBinaryLenient
+// skips records whose values are out of range (bit flips in stored
+// fields) and stops early — keeping everything decoded so far — when
+// the stream becomes structurally undecodable (truncation, broken
+// varint framing). Either way the caller learns exactly what was lost
+// via DecodeStats.
 
 // ErrCorruptRecord marks a record whose framing decoded but whose
 // values are impossible (address out of the 32-bit space, gap beyond
@@ -54,7 +52,7 @@ func (s DecodeStats) String() string {
 		s.Decoded, s.Skipped, trunc, s.FirstErr)
 }
 
-// note records the first problem and classifies it.
+// note records the first problem.
 func (s *DecodeStats) note(err error) {
 	if s.FirstErr == nil {
 		s.FirstErr = err
@@ -67,90 +65,5 @@ func (s *DecodeStats) note(err error) {
 // what did not. The error is non-nil only when nothing can be decoded
 // at all (unreadable or wrong-magic header).
 func ReadBinaryLenient(r io.Reader) (*Trace, DecodeStats, error) {
-	var ds DecodeStats
-	br := bufio.NewReader(r)
-	t := &Trace{}
-	count, err := decodeHeader(br, t)
-	if err != nil {
-		return nil, ds, err
-	}
-	prev := uint32(0)
-	for i := uint64(0); i < count; i++ {
-		e, newPrev, err := decodeEvent(br, prev, i)
-		prev = newPrev
-		if err != nil {
-			ds.note(err)
-			if errors.Is(err, ErrCorruptRecord) {
-				ds.Skipped++
-				continue
-			}
-			ds.Truncated = true
-			break
-		}
-		t.Events = append(t.Events, e)
-		ds.Decoded++
-	}
-	return t, ds, nil
-}
-
-// StreamBinaryLenient is the streaming counterpart of
-// ReadBinaryLenient: fn is invoked for every intact event; corrupt
-// records are skipped and structural damage truncates the stream. An
-// error from fn still stops the scan and is returned. The header must
-// be intact.
-func StreamBinaryLenient(r io.Reader, fn func(Event) error) (name string, ds DecodeStats, err error) {
-	br := bufio.NewReader(r)
-	var t Trace
-	count, err := decodeHeader(br, &t)
-	if err != nil {
-		return "", ds, err
-	}
-	prev := uint32(0)
-	for i := uint64(0); i < count; i++ {
-		e, newPrev, derr := decodeEvent(br, prev, i)
-		prev = newPrev
-		if derr != nil {
-			ds.note(derr)
-			if errors.Is(derr, ErrCorruptRecord) {
-				ds.Skipped++
-				continue
-			}
-			ds.Truncated = true
-			break
-		}
-		if err := fn(e); err != nil {
-			return t.Name, ds, err
-		}
-		ds.Decoded++
-	}
-	return t.Name, ds, nil
-}
-
-// decodeHeader reads the magic, name and event count into t, returning
-// the declared event count. Shared by the strict and lenient readers.
-func decodeHeader(br *bufio.Reader, t *Trace) (uint64, error) {
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return 0, err
-	}
-	if m != magic {
-		return 0, ErrBadMagic
-	}
-	nameLen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return 0, fmt.Errorf("trace: reading name length: %w", err)
-	}
-	if nameLen > 1<<16 {
-		return 0, fmt.Errorf("trace: implausible name length %d", nameLen)
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return 0, fmt.Errorf("trace: reading name: %w", err)
-	}
-	t.Name = string(name)
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
-		return 0, fmt.Errorf("trace: reading event count: %w", err)
-	}
-	return count, nil
+	return readBinary(r, true)
 }

@@ -5,22 +5,6 @@ import (
 	"sort"
 )
 
-// Concat joins traces end to end under a new name. Gaps are preserved;
-// the instruction streams simply follow one another, as when one
-// program phase follows another.
-func Concat(name string, ts ...*Trace) *Trace {
-	out := &Trace{Name: name}
-	total := 0
-	for _, t := range ts {
-		total += t.Len()
-	}
-	out.Events = make([]Event, 0, total)
-	for _, t := range ts {
-		out.Events = append(out.Events, t.Events...)
-	}
-	return out
-}
-
 // InterleaveStats reports the timing fidelity of an interleave merge.
 // The Gap field of an Event holds at most 65535 instructions, so a
 // merged stream whose schedule contains a longer quiet period cannot
@@ -41,24 +25,17 @@ type InterleaveStats struct {
 	LostInstructions uint64
 }
 
-// Interleave merges traces by instruction time: events are replayed in
-// global instruction order, modelling independent phases sharing one
-// cache (coarse-grained multiprogramming without address translation).
-// Gaps are recomputed so the merged trace's instruction positions match
-// the union schedule. Gaps longer than the Gap field's capacity are
-// split across subsequent events, preserving total instruction time
-// (see InterleaveStats); use InterleaveOffset to also observe the
-// fidelity counters.
-func Interleave(name string, ts ...*Trace) *Trace {
-	out, _ := InterleaveOffset(name, nil, ts...)
-	return out
-}
-
-// InterleaveOffset is Interleave with a per-input start offset: input i
-// begins at instruction time offsets[i] (missing entries mean zero), so
-// staggered phase arrivals can be modelled. Ties at an instruction slot
-// resolve by input order for determinism. The returned stats describe
-// how faithfully the schedule fit the Gap field's capacity.
+// InterleaveOffset merges traces by instruction time: events are
+// replayed in global instruction order, modelling independent phases
+// sharing one cache (coarse-grained multiprogramming without address
+// translation). Input i begins at instruction time offsets[i] (nil or
+// missing entries mean zero), so staggered phase arrivals can be
+// modelled. Ties at an instruction slot resolve by input order for
+// determinism. Gaps are recomputed so the merged trace's instruction
+// positions match the union schedule; gaps longer than the Gap field's
+// capacity are split across subsequent events, preserving total
+// instruction time. The returned stats describe how faithfully the
+// schedule fit the Gap field's capacity.
 func InterleaveOffset(name string, offsets []uint64, ts ...*Trace) (*Trace, InterleaveStats) {
 	out := &Trace{Name: name}
 	var st InterleaveStats

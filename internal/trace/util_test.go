@@ -5,21 +5,6 @@ import (
 	"testing"
 )
 
-func TestConcat(t *testing.T) {
-	a := &Trace{Name: "a", Events: []Event{{Addr: 0, Size: 4, Kind: Read}}}
-	b := &Trace{Name: "b", Events: []Event{{Addr: 8, Size: 4, Kind: Write}}}
-	out := Concat("ab", a, b)
-	if out.Name != "ab" || out.Len() != 2 {
-		t.Fatalf("concat = %q len %d", out.Name, out.Len())
-	}
-	if out.Events[0].Addr != 0 || out.Events[1].Addr != 8 {
-		t.Error("order wrong")
-	}
-	if Concat("empty").Len() != 0 {
-		t.Error("empty concat")
-	}
-}
-
 func TestInterleaveByTime(t *testing.T) {
 	// a's events at instruction times 1, 2; b's at 1.5-ish: b has gap 0
 	// event after a gap-0 event... construct: a = events at t=1, t=2.
@@ -31,7 +16,7 @@ func TestInterleaveByTime(t *testing.T) {
 	b := &Trace{Events: []Event{
 		{Addr: 0x100, Size: 4, Kind: Write, Gap: 2}, // t=3
 	}}
-	out := Interleave("mix", a, b)
+	out, _ := InterleaveOffset("mix", nil, a, b)
 	if out.Len() != 3 {
 		t.Fatalf("len = %d", out.Len())
 	}
@@ -47,7 +32,7 @@ func TestInterleaveByTime(t *testing.T) {
 func TestInterleaveDeterministicTies(t *testing.T) {
 	a := &Trace{Events: []Event{{Addr: 0x0, Size: 4, Kind: Read}}}
 	b := &Trace{Events: []Event{{Addr: 0x100, Size: 4, Kind: Read}}}
-	out := Interleave("mix", a, b)
+	out, _ := InterleaveOffset("mix", nil, a, b)
 	// Tie at t=1: input order wins.
 	if out.Events[0].Addr != 0x0 {
 		t.Error("tie broken against input order")
@@ -58,11 +43,11 @@ func TestInterleaveDeterministicTies(t *testing.T) {
 }
 
 func TestInterleaveEmptyInputs(t *testing.T) {
-	if Interleave("x").Len() != 0 {
+	if out, _ := InterleaveOffset("x", nil); out.Len() != 0 {
 		t.Error("no inputs should give empty trace")
 	}
 	a := &Trace{Events: []Event{{Addr: 0, Size: 4, Kind: Read}}}
-	if Interleave("x", a, &Trace{}).Len() != 1 {
+	if out, _ := InterleaveOffset("x", nil, a, &Trace{}); out.Len() != 1 {
 		t.Error("empty input mishandled")
 	}
 }
@@ -134,7 +119,7 @@ func TestInterleaveTieAfterCursorRemoval(t *testing.T) {
 	a := &Trace{Events: []Event{{Addr: 0xa0, Size: 4, Kind: Read}}}         // t=1
 	b := &Trace{Events: []Event{{Addr: 0xb0, Size: 4, Kind: Read, Gap: 2}}} // t=3
 	c := &Trace{Events: []Event{{Addr: 0xc0, Size: 4, Kind: Read, Gap: 2}}} // t=3
-	out := Interleave("mix", a, b, c)
+	out, _ := InterleaveOffset("mix", nil, a, b, c)
 	if out.Len() != 3 {
 		t.Fatalf("len = %d", out.Len())
 	}
