@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test check fmt-check lint require-go perfbench-check fuzz-smoke bench-smoke bench-compare resilience-smoke serve-smoke faultfs-smoke bench bench-all
+.PHONY: build test check fmt-check lint require-go perfbench-check golden-check fuzz-smoke bench-smoke bench-compare resilience-smoke serve-smoke faultfs-smoke bench bench-all
 
 # require-go fails fast with a clear message when the Go toolchain is
 # missing or $(GO) points at a nonexistent binary, instead of letting
@@ -27,8 +27,9 @@ lint: require-go
 
 # check is the pre-merge gate: gofmt, simlint, go vet, the full suite
 # under the race detector (including the multi-core coherence tests in
-# internal/coherence), vet and tests of the cmd/perfbench module, a
-# short fuzz smoke over the trace decoders, a single-iteration smoke of the sweep-engine benchmarks, the
+# internal/coherence), vet and tests of the cmd/perfbench module, the
+# byte-for-byte golden check of every figure and table, a short fuzz
+# smoke over the trace decoders, a single-iteration smoke of the sweep-engine benchmarks, the
 # performance regression gate against the committed BENCH_sweep.json
 # scaling matrix, the SIGKILL/resume crash-safety smoke, and the
 # simserved chaos smoke (64 racing clients, 3 server SIGKILLs,
@@ -42,13 +43,14 @@ check: build
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(MAKE) perfbench-check
+	$(MAKE) golden-check
 	$(MAKE) fuzz-smoke
 	$(MAKE) bench-smoke
 	$(MAKE) bench-compare
 	$(MAKE) resilience-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) faultfs-smoke
-	@echo "check: gates passed: build fmt-check lint vet race perfbench-check fuzz-smoke bench-smoke bench-compare resilience-smoke serve-smoke faultfs-smoke"
+	@echo "check: gates passed: build fmt-check lint vet race perfbench-check golden-check fuzz-smoke bench-smoke bench-compare resilience-smoke serve-smoke faultfs-smoke"
 
 # fmt-check fails when any Go file in the tree (the cmd/perfbench
 # module included) is not gofmt-formatted, and lists the offenders.
@@ -61,6 +63,15 @@ fmt-check:
 # of the next benchmark run.
 perfbench-check: require-go
 	cd cmd/perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# golden-check regenerates every figure and table once through the
+# benchmark harness (the figures and coherence workloads) and fails
+# when any render differs by a byte from cmd/perfbench/golden. Its
+# build directory is its own, so its results log stays apart from
+# benchmark runs.
+golden-check: require-go
+	CARGO_TARGET_DIR=.bench_build/golden-check bash cmd/perfbench/run.sh --workload figures --seconds 1
+	CARGO_TARGET_DIR=.bench_build/golden-check bash cmd/perfbench/run.sh --workload coherence --seconds 1
 
 fuzz-smoke: require-go
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 5s

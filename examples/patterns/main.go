@@ -39,7 +39,7 @@ func main() {
 		fmt.Printf("%-18s", pat.name)
 		for _, p := range []cache.WriteMissPolicy{cache.FetchOnWrite, cache.WriteValidate, cache.WriteAround, cache.WriteInvalidate} {
 			hit := cache.WriteBack
-			if p == cache.WriteAround || p == cache.WriteInvalidate {
+			if !p.Allocates() {
 				hit = cache.WriteThrough
 			}
 			c, err := cache.New(cache.Config{Size: 8 << 10, LineSize: 16, Assoc: 1,

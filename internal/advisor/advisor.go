@@ -90,7 +90,7 @@ func Recommend(req Request, t *trace.Trace) (Advice, error) {
 	bestCPI := 0.0
 	for _, p := range cache.WriteMissPolicies() {
 		hit := cache.WriteBack
-		if p == cache.WriteAround || p == cache.WriteInvalidate {
+		if !p.Allocates() {
 			hit = cache.WriteThrough
 		}
 		s, err := timing.Evaluate(timing.Config{
@@ -144,8 +144,7 @@ func Recommend(req Request, t *trace.Trace) (Advice, error) {
 	}
 
 	// Compatibility: no-allocate policies require write-through.
-	if adv.WriteHit == cache.WriteBack &&
-		(adv.WriteMiss == cache.WriteAround || adv.WriteMiss == cache.WriteInvalidate) {
+	if adv.WriteHit == cache.WriteBack && !adv.WriteMiss.Allocates() {
 		adv.WriteHit = cache.WriteThrough
 		adv.WriteCacheEntries = entries
 		fmt.Fprintf(&why, "(%s requires write-through; keeping the write cache.)\n", adv.WriteMiss)

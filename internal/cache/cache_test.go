@@ -86,9 +86,6 @@ func TestPolicyStrings(t *testing.T) {
 }
 
 func TestPolicyPredicates(t *testing.T) {
-	if !FetchOnWrite.FetchesOnWriteMiss() || WriteValidate.FetchesOnWriteMiss() {
-		t.Error("FetchesOnWriteMiss wrong")
-	}
 	if !FetchOnWrite.Allocates() || !WriteValidate.Allocates() ||
 		WriteAround.Allocates() || WriteInvalidate.Allocates() {
 		t.Error("Allocates wrong")

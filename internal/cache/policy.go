@@ -99,10 +99,9 @@ func WriteMissPolicies() []WriteMissPolicy {
 	return []WriteMissPolicy{WriteValidate, WriteAround, WriteInvalidate, FetchOnWrite}
 }
 
-// FetchesOnWriteMiss reports whether the policy fetches the missed line.
-func (p WriteMissPolicy) FetchesOnWriteMiss() bool { return p == FetchOnWrite }
-
 // Allocates reports whether the policy allocates a line on a write miss.
+// The no-allocate policies are write-through policies (paper §4), so
+// callers pair them with WriteThrough.
 func (p WriteMissPolicy) Allocates() bool {
 	return p == FetchOnWrite || p == WriteValidate
 }

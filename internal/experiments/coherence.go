@@ -38,18 +38,6 @@ func cohL2() cache.Config {
 		WriteHit: cache.WriteBack, WriteMiss: cache.FetchOnWrite}
 }
 
-// cohL1 is the per-core private cache at the paper's standard geometry
-// under the given write-miss policy (no-allocate policies paired with
-// write-through, as in §4).
-func cohL1(p cache.WriteMissPolicy) cache.Config {
-	cfg := stdConfig(StdCacheSize, StdLineSize)
-	cfg.WriteMiss = p
-	if p == cache.WriteAround || p == cache.WriteInvalidate {
-		cfg.WriteHit = cache.WriteThrough
-	}
-	return cfg
-}
-
 // cohRun is one coherent simulation's output: the summed per-core L1
 // counters plus the system-level coherence/traffic counters.
 type cohRun struct {
@@ -80,23 +68,38 @@ func cohWorkload(t *trace.Trace, cores int) (*coherence.Workload, error) {
 	return w, nil
 }
 
-// cohSimulate replays t across the given sharing degree under one
-// coherence scheme and write-miss policy.
-func cohSimulate(t *trace.Trace, p cache.WriteMissPolicy, scheme coherence.Scheme, cores int) (cohRun, error) {
-	w, err := cohWorkload(t, cores)
-	if err != nil {
-		return cohRun{}, err
-	}
-	l2 := cohL2()
-	sys, err := coherence.New(coherence.Config{Cores: cores, L1: cohL1(p), L2: &l2, Scheme: scheme})
-	if err != nil {
-		return cohRun{}, fmt.Errorf("experiments: %s x%d: %w", t.Name, cores, err)
-	}
-	if err := sys.Run(w); err != nil {
-		return cohRun{}, err
-	}
-	sys.Flush()
-	return cohRun{l1: sys.AggregateL1(), sys: sys.Stats()}, nil
+// cohKey identifies one memoized coherent simulation.
+type cohKey struct {
+	ti     int
+	p      cache.WriteMissPolicy
+	scheme coherence.Scheme
+	cores  int
+}
+
+// cohSimulate replays trace ti across the given sharing degree under
+// one coherence scheme and write-miss policy, memoized: ext-coh-miss
+// and ext-coh-traffic read two metrics off one sweep, and
+// ext-coh-schemes shares its 4-core MSI runs with them. Only the small
+// result is kept, never the built per-core workload.
+func cohSimulate(e *Env, ti int, p cache.WriteMissPolicy, scheme coherence.Scheme, cores int) (cohRun, error) {
+	return memoize(e, cohKey{ti, p, scheme, cores}, func() (cohRun, error) {
+		t := e.Traces[ti]
+		w, err := cohWorkload(t, cores)
+		if err != nil {
+			return cohRun{}, err
+		}
+		l2 := cohL2()
+		sys, err := coherence.New(coherence.Config{Cores: cores,
+			L1: policyConfig(StdCacheSize, StdLineSize, p), L2: &l2, Scheme: scheme})
+		if err != nil {
+			return cohRun{}, fmt.Errorf("experiments: %s x%d: %w", t.Name, cores, err)
+		}
+		if err := sys.Run(w); err != nil {
+			return cohRun{}, err
+		}
+		sys.Flush()
+		return cohRun{l1: sys.AggregateL1(), sys: sys.Stats()}, nil
+	})
 }
 
 // cohSweepChart renders one metric of the sharing-degree sweep (MSI
@@ -105,24 +108,13 @@ func cohSweepChart(e *Env, id, title, ylabel string, metric func(cohRun) float64
 	chart := &stats.Chart{ID: id, Title: title,
 		XLabel: "sharing degree (cores)", YLabel: ylabel, XScale: stats.Log2}
 	for _, p := range cache.WriteMissPolicies() {
-		var perBench []stats.Series
-		for _, t := range e.Traces {
-			s := stats.Series{Label: fmt.Sprintf("%s/%s", t.Name, p)}
-			for _, cores := range cohDegrees {
-				r, err := cohSimulate(t, p, coherence.Invalidate, cores)
-				if err != nil {
-					return Result{}, err
-				}
-				s.Point(float64(cores), metric(r))
-			}
-			perBench = append(perBench, s)
-			chart.Add(s)
-		}
-		avg, err := stats.MeanSeries("average/"+p.String(), perBench)
+		err := benchSeries(e, chart, "/"+p.String(), "average/"+p.String(), cohDegrees, func(ti, cores int) (float64, error) {
+			r, err := cohSimulate(e, ti, p, coherence.Invalidate, cores)
+			return metric(r), err
+		})
 		if err != nil {
 			return Result{}, err
 		}
-		chart.Add(avg)
 	}
 	return Result{Chart: chart}, nil
 }
@@ -165,9 +157,9 @@ func extCohSchemes(e *Env) (Result, error) {
 			"invalidations/1k", "updates/1k", "bus bytes/1k"},
 	}
 	const cores = 4
-	for _, t := range e.Traces {
+	for ti, t := range e.Traces {
 		for _, scheme := range coherence.Schemes() {
-			r, err := cohSimulate(t, cache.FetchOnWrite, scheme, cores)
+			r, err := cohSimulate(e, ti, cache.FetchOnWrite, scheme, cores)
 			if err != nil {
 				return Result{}, err
 			}
@@ -187,7 +179,7 @@ func extCohSchemes(e *Env) (Result, error) {
 		}
 		merged, _ := w.Interleaved()
 		l2 := cohL2()
-		h, err := hierarchy.New(hierarchy.Config{L1: cohL1(cache.FetchOnWrite), L2: &l2})
+		h, err := hierarchy.New(hierarchy.Config{L1: stdConfig(StdCacheSize, StdLineSize), L2: &l2})
 		if err != nil {
 			return Result{}, err
 		}

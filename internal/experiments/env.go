@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"cachewrite/internal/cache"
+	"cachewrite/internal/stats"
 	"cachewrite/internal/sweep"
 	"cachewrite/internal/trace"
 	"cachewrite/internal/workload"
@@ -32,62 +33,32 @@ const (
 	StdLineSize = 16
 )
 
-// memoKey identifies one memoized simulation. cache.Config is a flat
-// comparable struct, so the key works directly as a map key — no
+// memoKey identifies one memoized cache simulation. cache.Config is a
+// flat comparable struct, so the key works directly as a map key — no
 // fmt.Sprintf string building on the lookup path.
 type memoKey struct {
 	ti  int
 	cfg cache.Config
 }
 
-// shard spreads keys across the memo's lock shards.
-func (k memoKey) shard() int {
-	h := uint64(k.ti)
-	h = h<<7 ^ uint64(k.cfg.Size)
-	h = h<<7 ^ uint64(k.cfg.LineSize)
-	h = h<<7 ^ uint64(k.cfg.Assoc)
-	h = h<<3 ^ uint64(k.cfg.WriteHit)
-	h = h<<3 ^ uint64(k.cfg.WriteMiss)
-	h = h<<3 ^ uint64(k.cfg.Replacement)
-	h = h<<7 ^ uint64(k.cfg.ValidGranularity)
-	if k.cfg.SectorFetch {
-		h ^= 1 << 40
-	}
-	if k.cfg.WVMissWriteThrough {
-		h ^= 1 << 41
-	}
-	h *= 0x9e3779b97f4a7c15 // Fibonacci hash: mix all bits into the top
-	return int(h >> (64 - memoShardBits))
-}
-
-const (
-	memoShardBits = 6
-	memoShards    = 1 << memoShardBits
-)
-
-// memoEntry is one simulation result. The once gate gives exact
-// compute-once semantics under concurrent CacheStats calls for the
-// same key without holding any shard lock during the simulation.
+// memoEntry is one memoized result. The once gate gives exact
+// compute-once semantics under concurrent calls for the same key
+// without holding the memo lock during the computation.
 type memoEntry struct {
-	once  sync.Once
-	stats cache.Stats
-	err   error
+	once sync.Once
+	val  any
+	err  error
 }
 
-// memoShard is one lock stripe of the memo.
-type memoShard struct {
-	mu sync.Mutex
-	m  map[memoKey]*memoEntry
-}
-
-// Env holds the benchmark traces and memoizes cache simulations so the
-// many figures sharing a configuration pay for it once. The memo is
-// sharded so parallel figure runners do not serialize on a single
-// lock, and each key is computed exactly once even when raced.
+// Env holds the benchmark traces and memoizes simulations so the many
+// figures sharing a configuration pay for it once. Every simulation a
+// runner reads goes through memoize; each key is computed exactly once
+// even when raced.
 type Env struct {
 	Traces []*trace.Trace
 
-	shards   [memoShards]memoShard
+	mu       sync.Mutex
+	memo     map[any]*memoEntry
 	computes atomic.Uint64
 }
 
@@ -108,45 +79,49 @@ func NewEnvFromTraces(ts []*trace.Trace) *Env {
 	return &Env{Traces: ts}
 }
 
-// entry returns the memo entry for k, creating it if needed. The shard
+// entry returns the memo entry for key, creating it if needed. The
 // lock is held only for the map access, never for a simulation.
-func (e *Env) entry(k memoKey) *memoEntry {
-	s := &e.shards[k.shard()]
-	s.mu.Lock()
-	ent := s.m[k]
+func (e *Env) entry(key any) *memoEntry {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	ent := e.memo[key]
 	if ent == nil {
-		if s.m == nil {
-			s.m = make(map[memoKey]*memoEntry)
+		if e.memo == nil {
+			e.memo = make(map[any]*memoEntry)
 		}
 		ent = &memoEntry{}
-		s.m[k] = ent
+		e.memo[key] = ent
 	}
-	s.mu.Unlock()
 	return ent
 }
 
-// CacheStats runs trace index ti through the configuration (with a
-// final flush) and memoizes the result. Concurrent callers asking for
-// the same key compute it exactly once; callers with different keys
-// never serialize on each other's simulations.
-func (e *Env) CacheStats(ti int, cfg cache.Config) (cache.Stats, error) {
-	ent := e.entry(memoKey{ti, cfg})
+// memoize returns the result of compute for key, running compute only
+// on the first call for that key (a memo miss). Concurrent callers
+// asking for the same key compute it exactly once; callers with
+// different keys never serialize on each other's computations. key
+// must be comparable, and each result type needs its own key type.
+func memoize[V any](e *Env, key any, compute func() (V, error)) (V, error) {
+	ent := e.entry(key)
 	ent.once.Do(func() {
-		ent.stats, ent.err = e.compute(ti, cfg)
+		e.computes.Add(1)
+		ent.val, ent.err = compute()
 	})
-	return ent.stats, ent.err
+	v, _ := ent.val.(V)
+	return v, ent.err
 }
 
-// compute performs one uncached simulation.
-func (e *Env) compute(ti int, cfg cache.Config) (cache.Stats, error) {
-	e.computes.Add(1)
-	c, err := cache.New(cfg)
-	if err != nil {
-		return cache.Stats{}, fmt.Errorf("experiments: %s on %s: %w", cfg, e.Traces[ti].Name, err)
-	}
-	c.AccessTrace(e.Traces[ti])
-	c.Flush()
-	return c.Stats(), nil
+// CacheStats runs trace index ti through the configuration (with a
+// final flush) and memoizes the result.
+func (e *Env) CacheStats(ti int, cfg cache.Config) (cache.Stats, error) {
+	return memoize(e, memoKey{ti, cfg}, func() (cache.Stats, error) {
+		c, err := cache.New(cfg)
+		if err != nil {
+			return cache.Stats{}, fmt.Errorf("experiments: %s on %s: %w", cfg, e.Traces[ti].Name, err)
+		}
+		c.AccessTrace(e.Traces[ti])
+		c.Flush()
+		return c.Stats(), nil
+	})
 }
 
 // store seeds the memo with an externally computed result (the gang
@@ -155,11 +130,13 @@ func (e *Env) compute(ti int, cfg cache.Config) (cache.Stats, error) {
 // is the same either way.
 func (e *Env) store(k memoKey, s cache.Stats) {
 	ent := e.entry(k)
-	ent.once.Do(func() { ent.stats = s })
+	ent.once.Do(func() { ent.val = s })
 }
 
-// Computes reports how many simulations the environment has actually
-// run (memo misses). Tests use it to assert compute-once semantics.
+// Computes reports how many memo misses the environment has had: every
+// simulation it actually ran, whether a cache, write-cache or coherent
+// one. Results seeded by PrecomputeSweep are not counted. Tests use it
+// to assert compute-once semantics and that runners share simulations.
 func (e *Env) Computes() uint64 { return e.computes.Load() }
 
 // stdConfig returns the baseline write-back fetch-on-write cache used
@@ -169,6 +146,63 @@ func stdConfig(size, lineSize int) cache.Config {
 		Size: size, LineSize: lineSize, Assoc: 1,
 		WriteHit: cache.WriteBack, WriteMiss: cache.FetchOnWrite,
 	}
+}
+
+// policyConfig is stdConfig under write-miss policy p. No-allocate
+// policies are write-through policies (§4), so they pair with
+// write-through instead of write-back.
+func policyConfig(size, lineSize int, p cache.WriteMissPolicy) cache.Config {
+	cfg := stdConfig(size, lineSize)
+	cfg.WriteMiss = p
+	if !p.Allocates() {
+		cfg.WriteHit = cache.WriteThrough
+	}
+	return cfg
+}
+
+// configSweep charts a metric of the standard cache over a geometry
+// sweep: one series per benchmark plus their average.
+func configSweep(e *Env, id, title, xlabel, ylabel string, xs []int,
+	cfgOf func(x int) (size, line int),
+	metric func(cs cache.Stats, line int) float64) (Result, error) {
+	chart := &stats.Chart{ID: id, Title: title, XLabel: xlabel, YLabel: ylabel, XScale: stats.Log2}
+	err := benchSeries(e, chart, "", "average", xs, func(ti, x int) (float64, error) {
+		size, line := cfgOf(x)
+		cs, err := e.CacheStats(ti, stdConfig(size, line))
+		if err != nil {
+			return 0, err
+		}
+		return stats.Pct(metric(cs, line)), nil
+	})
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{Chart: chart}, nil
+}
+
+// benchSeries adds to chart one series per benchmark, labelled with
+// the trace name plus suffix and plotting y(ti, x) at each x, then
+// their mean labelled avg: the paper's per-benchmark + average style.
+func benchSeries(e *Env, chart *stats.Chart, suffix, avg string, xs []int, y func(ti, x int) (float64, error)) error {
+	var perBench []stats.Series
+	for ti, t := range e.Traces {
+		s := stats.Series{Label: t.Name + suffix}
+		for _, x := range xs {
+			v, err := y(ti, x)
+			if err != nil {
+				return err
+			}
+			s.Point(float64(x), v)
+		}
+		perBench = append(perBench, s)
+		chart.Add(s)
+	}
+	mean, err := stats.MeanSeries(avg, perBench)
+	if err != nil {
+		return err
+	}
+	chart.Add(mean)
+	return nil
 }
 
 // kb formats a byte count as its KB value for chart X axes.
@@ -191,12 +225,7 @@ func SweepConfigs() []cache.Config {
 	var cfgs []cache.Config
 	add := func(size, line int) {
 		for _, p := range cache.WriteMissPolicies() {
-			cfg := stdConfig(size, line)
-			cfg.WriteMiss = p
-			if p == cache.WriteAround || p == cache.WriteInvalidate {
-				cfg.WriteHit = cache.WriteThrough
-			}
-			cfgs = append(cfgs, cfg)
+			cfgs = append(cfgs, policyConfig(size, line, p))
 		}
 	}
 	for _, size := range CacheSizes {

@@ -11,28 +11,28 @@ import (
 
 // TestCacheStatsComputeOnceConcurrent hammers the memo from many
 // goroutines (run under -race by `make check`) and asserts the
-// misses-once contract: every distinct key is simulated exactly once,
-// no matter how many callers race on it, and every caller sees the
-// identical result.
+// misses-once contract: every distinct key, cache or write-cache, is
+// simulated exactly once, no matter how many callers race on it, and
+// every caller sees the identical result.
 func TestCacheStatsComputeOnceConcurrent(t *testing.T) {
 	env := syntheticEnv()
-	keys := []struct {
-		ti  int
-		cfg cache.Config
-	}{
-		{0, stdConfig(1<<10, StdLineSize)},
-		{0, stdConfig(2<<10, StdLineSize)},
-		{1, stdConfig(1<<10, StdLineSize)},
-		{1, stdConfig(StdCacheSize, 32)},
+	keys := []func(e *Env) (any, error){
+		func(e *Env) (any, error) { return e.CacheStats(0, stdConfig(1<<10, StdLineSize)) },
+		func(e *Env) (any, error) { return e.CacheStats(0, stdConfig(2<<10, StdLineSize)) },
+		func(e *Env) (any, error) { return e.CacheStats(1, stdConfig(1<<10, StdLineSize)) },
+		func(e *Env) (any, error) { return e.CacheStats(1, stdConfig(StdCacheSize, 32)) },
+		func(e *Env) (any, error) { return writeCacheRemoved(e, 0, 4) },
+		func(e *Env) (any, error) { return writeCacheRemoved(e, 1, 4) },
+		func(e *Env) (any, error) { return writeCacheRemoved(e, 1, 16) },
 	}
-	want := make([]cache.Stats, len(keys))
+	want := make([]any, len(keys))
 	fresh := syntheticEnv()
 	for i, k := range keys {
-		s, err := fresh.CacheStats(k.ti, k.cfg)
+		v, err := k(fresh)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = s
+		want[i] = v
 	}
 
 	const goroutines = 16
@@ -43,14 +43,14 @@ func TestCacheStatsComputeOnceConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				k := keys[(g+i)%len(keys)]
-				s, err := env.CacheStats(k.ti, k.cfg)
+				k := (g + i) % len(keys)
+				v, err := keys[k](env)
 				if err != nil {
 					errs <- err
 					return
 				}
-				if s != want[(g+i)%len(keys)] {
-					t.Errorf("concurrent CacheStats returned a divergent result for %s", k.cfg)
+				if v != want[k] {
+					t.Errorf("concurrent call %d returned a divergent result", k)
 				}
 			}
 		}(g)
@@ -62,6 +62,39 @@ func TestCacheStatsComputeOnceConcurrent(t *testing.T) {
 	}
 	if got := env.Computes(); got != uint64(len(keys)) {
 		t.Fatalf("memo computed %d simulations for %d distinct keys (misses-once violated)", got, len(keys))
+	}
+}
+
+// TestRunnersShareSimulations: runners that read one sweep share its
+// simulations through the memo. After the gang precompute, Fig 7 runs
+// the 17 write-cache sizes per trace and Figs 8-9 reuse them;
+// ext-coh-miss runs 4 policies x 4 sharing degrees per trace,
+// ext-coh-traffic reuses them, and ext-coh-schemes adds only its two
+// non-MSI schemes.
+func TestRunnersShareSimulations(t *testing.T) {
+	env := syntheticEnv()
+	if err := env.PrecomputeSweep(context.Background(), sweep.Options{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	n := uint64(len(env.Traces))
+	for _, c := range []struct {
+		id   string
+		want uint64
+	}{
+		{"fig7", 17 * n},
+		{"fig8", 0},
+		{"fig9", 0},
+		{"ext-coh-miss", 16 * n},
+		{"ext-coh-traffic", 0},
+		{"ext-coh-schemes", 2 * n},
+	} {
+		before := env.Computes()
+		if _, err := Run(env, c.id); err != nil {
+			t.Fatalf("%s: %v", c.id, err)
+		}
+		if got := env.Computes() - before; got != c.want {
+			t.Errorf("%s ran %d simulations, want %d", c.id, got, c.want)
+		}
 	}
 }
 

@@ -157,13 +157,8 @@ func extPerf(e *Env) (Result, error) {
 		row := []string{t.Name}
 		var fow, wv float64
 		for _, p := range order {
-			hit := cache.WriteBack
-			if p == cache.WriteAround || p == cache.WriteInvalidate {
-				hit = cache.WriteThrough
-			}
 			cfg := timing.Config{
-				L1: cache.Config{Size: StdCacheSize, LineSize: StdLineSize, Assoc: 1,
-					WriteHit: hit, WriteMiss: p},
+				L1:                  policyConfig(StdCacheSize, StdLineSize, p),
 				FetchLatency:        10,
 				WriteBufferEntries:  4,
 				WriteRetire:         6,

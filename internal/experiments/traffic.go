@@ -77,34 +77,6 @@ func fig19(e *Env) (Result, error) {
 		func(x int) (int, int) { return StdCacheSize, x })
 }
 
-// victimMetric sweeps a victim statistic over the benchmarks, plus the
-// average.
-func victimMetric(e *Env, id, title, xlabel, ylabel string, xs []int,
-	cfgOf func(x int) (size, line int),
-	metric func(cs cache.Stats, line int) float64) (Result, error) {
-	chart := &stats.Chart{ID: id, Title: title, XLabel: xlabel, YLabel: ylabel, XScale: stats.Log2}
-	var perBench []stats.Series
-	for ti, t := range e.Traces {
-		s := stats.Series{Label: t.Name}
-		for _, x := range xs {
-			size, line := cfgOf(x)
-			cs, err := e.CacheStats(ti, stdConfig(size, line))
-			if err != nil {
-				return Result{}, err
-			}
-			s.Point(float64(x), stats.Pct(metric(cs, line)))
-		}
-		perBench = append(perBench, s)
-		chart.Add(s)
-	}
-	avg, err := stats.MeanSeries("average", perBench)
-	if err != nil {
-		return Result{}, err
-	}
-	chart.Add(avg)
-	return Result{Chart: chart}, nil
-}
-
 // fig20 plots the fraction of victims that are dirty, under both
 // cold-stop (program victims only) and flush-stop (cache flushed after
 // execution) accounting.
@@ -142,35 +114,35 @@ func fig20(e *Env) (Result, error) {
 }
 
 func fig21(e *Env) (Result, error) {
-	return victimMetric(e, "fig21", "Percent of bytes dirty in a dirty victim vs cache size for 16B lines",
+	return configSweep(e, "fig21", "Percent of bytes dirty in a dirty victim vs cache size for 16B lines",
 		"cache size (B)", "% of bytes dirty in dirty victims", CacheSizes,
 		func(x int) (int, int) { return x, StdLineSize },
 		func(cs cache.Stats, line int) float64 { return cs.DirtyBytesPerDirtyVictim(line) })
 }
 
 func fig22(e *Env) (Result, error) {
-	return victimMetric(e, "fig22", "Percent of bytes dirty per victim vs cache size for 16B lines",
+	return configSweep(e, "fig22", "Percent of bytes dirty per victim vs cache size for 16B lines",
 		"cache size (B)", "% of bytes dirty per victim (flush stop)", CacheSizes,
 		func(x int) (int, int) { return x, StdLineSize },
 		func(cs cache.Stats, line int) float64 { return cs.DirtyBytesPerVictim() })
 }
 
 func fig23(e *Env) (Result, error) {
-	return victimMetric(e, "fig23", "Percent of victims with dirty bytes vs line size for 8KB caches",
+	return configSweep(e, "fig23", "Percent of victims with dirty bytes vs line size for 8KB caches",
 		"line size (B)", "% of victims dirty (flush stop)", LineSizes,
 		func(x int) (int, int) { return StdCacheSize, x },
 		func(cs cache.Stats, line int) float64 { return cs.DirtyVictimFractionFlushed() })
 }
 
 func fig24(e *Env) (Result, error) {
-	return victimMetric(e, "fig24", "Percent of bytes dirty in a dirty victim vs line size for 8KB caches",
+	return configSweep(e, "fig24", "Percent of bytes dirty in a dirty victim vs line size for 8KB caches",
 		"line size (B)", "% of bytes dirty in dirty victims", LineSizes,
 		func(x int) (int, int) { return StdCacheSize, x },
 		func(cs cache.Stats, line int) float64 { return cs.DirtyBytesPerDirtyVictim(line) })
 }
 
 func fig25(e *Env) (Result, error) {
-	return victimMetric(e, "fig25", "Percent of bytes dirty per victim vs line size for 8KB caches",
+	return configSweep(e, "fig25", "Percent of bytes dirty per victim vs line size for 8KB caches",
 		"line size (B)", "% of bytes dirty per victim (flush stop)", LineSizes,
 		func(x int) (int, int) { return StdCacheSize, x },
 		func(cs cache.Stats, line int) float64 { return cs.DirtyBytesPerVictim() })

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"cachewrite/internal/cache"
 	"cachewrite/internal/stats"
 	"cachewrite/internal/writebuffer"
 	"cachewrite/internal/writecache"
@@ -21,44 +22,22 @@ func init() {
 // size for 8KB direct-mapped caches — the write-traffic reduction a
 // write-back cache achieves over write-through.
 func fig1(e *Env) (Result, error) {
-	return writesToDirtySweep(e, "fig1",
+	return configSweep(e, "fig1",
 		"Write-back vs write-through cache behavior for 8KB caches",
-		"line size (B)", LineSizes,
-		func(x int) (int, int) { return StdCacheSize, x })
+		"line size (B)", "% of writes to already dirty lines", LineSizes,
+		func(x int) (int, int) { return StdCacheSize, x }, writesToDirty)
 }
 
 // fig2 plots the same metric against cache size for 16B lines.
 func fig2(e *Env) (Result, error) {
-	return writesToDirtySweep(e, "fig2",
+	return configSweep(e, "fig2",
 		"Write-back vs write-through cache behavior for 16B lines",
-		"cache size (B)", CacheSizes,
-		func(x int) (int, int) { return x, StdLineSize })
+		"cache size (B)", "% of writes to already dirty lines", CacheSizes,
+		func(x int) (int, int) { return x, StdLineSize }, writesToDirty)
 }
 
-func writesToDirtySweep(e *Env, id, title, xlabel string, xs []int, cfgOf func(x int) (size, line int)) (Result, error) {
-	chart := &stats.Chart{ID: id, Title: title, XLabel: xlabel,
-		YLabel: "% of writes to already dirty lines", XScale: stats.Log2}
-	var perBench []stats.Series
-	for ti, t := range e.Traces {
-		s := stats.Series{Label: t.Name}
-		for _, x := range xs {
-			size, line := cfgOf(x)
-			cs, err := e.CacheStats(ti, stdConfig(size, line))
-			if err != nil {
-				return Result{}, err
-			}
-			s.Point(float64(x), stats.Pct(cs.WritesToDirtyFraction()))
-		}
-		perBench = append(perBench, s)
-		chart.Add(s)
-	}
-	avg, err := stats.MeanSeries("average", perBench)
-	if err != nil {
-		return Result{}, err
-	}
-	chart.Add(avg)
-	return Result{Chart: chart}, nil
-}
+// writesToDirty is the Figs 1-2 metric.
+func writesToDirty(cs cache.Stats, _ int) float64 { return cs.WritesToDirtyFraction() }
 
 // fig5 reproduces the coalescing-write-buffer study: an 8-entry buffer
 // of 16B entries retiring one entry every n cycles, n swept from 0 to
@@ -106,40 +85,38 @@ func fig5(e *Env) (Result, error) {
 	return Result{Chart: chart}, nil
 }
 
+// writeCacheKey identifies one memoized write-cache simulation.
+type writeCacheKey struct{ ti, entries int }
+
 // writeCacheRemoved returns the fraction of writes removed by an
-// n-entry write cache with 8B lines on trace ti.
+// n-entry write cache with 8B lines on trace ti, memoized: Figs 7-9
+// read the same simulations.
 func writeCacheRemoved(e *Env, ti, entries int) (float64, error) {
-	wc, err := writecache.New(writecache.Config{Entries: entries, LineSize: 8})
-	if err != nil {
-		return 0, err
-	}
-	wc.Run(e.Traces[ti])
-	return wc.Stats().RemovedFraction(), nil
+	return memoize(e, writeCacheKey{ti, entries}, func() (float64, error) {
+		wc, err := writecache.New(writecache.Config{Entries: entries, LineSize: 8})
+		if err != nil {
+			return 0, err
+		}
+		wc.Run(e.Traces[ti])
+		return wc.Stats().RemovedFraction(), nil
+	})
 }
+
+// writeCacheEntries is the write-cache size axis of Figs 7-8.
+var writeCacheEntries = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
 
 // fig7 plots the absolute write-traffic reduction of a write cache with
 // 0..16 8B entries, per benchmark and averaged.
 func fig7(e *Env) (Result, error) {
 	chart := &stats.Chart{ID: "fig7", Title: "Write cache absolute traffic reduction",
 		XLabel: "write-cache entries", YLabel: "% of all writes removed", XScale: stats.Linear}
-	var perBench []stats.Series
-	for ti, t := range e.Traces {
-		s := stats.Series{Label: t.Name}
-		for n := 0; n <= 16; n++ {
-			f, err := writeCacheRemoved(e, ti, n)
-			if err != nil {
-				return Result{}, err
-			}
-			s.Point(float64(n), stats.Pct(f))
-		}
-		perBench = append(perBench, s)
-		chart.Add(s)
-	}
-	avg, err := stats.MeanSeries("average", perBench)
+	err := benchSeries(e, chart, "", "average", writeCacheEntries, func(ti, n int) (float64, error) {
+		f, err := writeCacheRemoved(e, ti, n)
+		return stats.Pct(f), err
+	})
 	if err != nil {
 		return Result{}, err
 	}
-	chart.Add(avg)
 	return Result{Chart: chart}, nil
 }
 
@@ -148,33 +125,24 @@ func fig7(e *Env) (Result, error) {
 func fig8(e *Env) (Result, error) {
 	chart := &stats.Chart{ID: "fig8", Title: "Write cache traffic reduction relative to a 4KB write-back cache",
 		XLabel: "write-cache entries", YLabel: "% of writes removed relative to write-back cache", XScale: stats.Linear}
-	var perBench []stats.Series
-	for ti, t := range e.Traces {
+	err := benchSeries(e, chart, "", "average", writeCacheEntries, func(ti, n int) (float64, error) {
 		wb, err := e.CacheStats(ti, stdConfig(4<<10, StdLineSize))
 		if err != nil {
-			return Result{}, err
+			return 0, err
 		}
-		wbFrac := wb.WritesToDirtyFraction()
-		s := stats.Series{Label: t.Name}
-		for n := 0; n <= 16; n++ {
-			f, err := writeCacheRemoved(e, ti, n)
-			if err != nil {
-				return Result{}, err
-			}
-			rel := 0.0
-			if wbFrac > 0 {
-				rel = f / wbFrac
-			}
-			s.Point(float64(n), stats.Pct(rel))
+		f, err := writeCacheRemoved(e, ti, n)
+		if err != nil {
+			return 0, err
 		}
-		perBench = append(perBench, s)
-		chart.Add(s)
-	}
-	avg, err := stats.MeanSeries("average", perBench)
+		rel := 0.0
+		if wbFrac := wb.WritesToDirtyFraction(); wbFrac > 0 {
+			rel = f / wbFrac
+		}
+		return stats.Pct(rel), nil
+	})
 	if err != nil {
 		return Result{}, err
 	}
-	chart.Add(avg)
 	return Result{Chart: chart}, nil
 }
 

@@ -21,44 +21,22 @@ func init() {
 // size under fetch-on-write (the policy under which every write miss
 // fetches).
 func fig10(e *Env) (Result, error) {
-	return writeMissShareSweep(e, "fig10",
+	return configSweep(e, "fig10",
 		"Write misses as a percent of all misses vs cache size for 16B lines",
-		"cache size (B)", CacheSizes,
-		func(x int) (int, int) { return x, StdLineSize })
+		"cache size (B)", "write misses as % of all misses", CacheSizes,
+		func(x int) (int, int) { return x, StdLineSize }, writeMissShare)
 }
 
 // fig11 plots the same against line size for 8KB caches.
 func fig11(e *Env) (Result, error) {
-	return writeMissShareSweep(e, "fig11",
+	return configSweep(e, "fig11",
 		"Write misses as a percent of all misses vs line size for 8KB caches",
-		"line size (B)", LineSizes,
-		func(x int) (int, int) { return StdCacheSize, x })
+		"line size (B)", "write misses as % of all misses", LineSizes,
+		func(x int) (int, int) { return StdCacheSize, x }, writeMissShare)
 }
 
-func writeMissShareSweep(e *Env, id, title, xlabel string, xs []int, cfgOf func(x int) (size, line int)) (Result, error) {
-	chart := &stats.Chart{ID: id, Title: title, XLabel: xlabel,
-		YLabel: "write misses as % of all misses", XScale: stats.Log2}
-	var perBench []stats.Series
-	for ti, t := range e.Traces {
-		s := stats.Series{Label: t.Name}
-		for _, x := range xs {
-			size, line := cfgOf(x)
-			cs, err := e.CacheStats(ti, stdConfig(size, line))
-			if err != nil {
-				return Result{}, err
-			}
-			s.Point(float64(x), stats.Pct(cs.WriteMissFraction()))
-		}
-		perBench = append(perBench, s)
-		chart.Add(s)
-	}
-	avg, err := stats.MeanSeries("average", perBench)
-	if err != nil {
-		return Result{}, err
-	}
-	chart.Add(avg)
-	return Result{Chart: chart}, nil
-}
+// writeMissShare is the Figs 10-11 metric.
+func writeMissShare(cs cache.Stats, _ int) float64 { return cs.WriteMissFraction() }
 
 // strategies are the three no-fetch policies compared against
 // fetch-on-write in Figs 13-16.
@@ -76,20 +54,13 @@ var strategies = []cache.WriteMissPolicy{cache.WriteValidate, cache.WriteAround,
 // reduction when leaving old lines resident also avoids read misses
 // (the paper's liver case).
 func missReductions(e *Env, ti, size, line int) (map[cache.WriteMissPolicy][2]float64, error) {
-	base := stdConfig(size, line)
-	fow, err := e.CacheStats(ti, base)
+	fow, err := e.CacheStats(ti, stdConfig(size, line))
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[cache.WriteMissPolicy][2]float64, len(strategies))
 	for _, p := range strategies {
-		cfg := base
-		cfg.WriteMiss = p
-		if p == cache.WriteAround || p == cache.WriteInvalidate {
-			// No-allocate policies are write-through policies (§4).
-			cfg.WriteHit = cache.WriteThrough
-		}
-		cs, err := e.CacheStats(ti, cfg)
+		cs, err := e.CacheStats(ti, policyConfig(size, line, p))
 		if err != nil {
 			return nil, err
 		}
@@ -117,25 +88,14 @@ func missReductionSweep(e *Env, id, title, xlabel string, xs []int, cfgOf func(x
 		idx = 1
 	}
 	for _, p := range strategies {
-		var perBench []stats.Series
-		for ti, t := range e.Traces {
-			s := stats.Series{Label: fmt.Sprintf("%s/%s", t.Name, p)}
-			for _, x := range xs {
-				size, line := cfgOf(x)
-				red, err := missReductions(e, ti, size, line)
-				if err != nil {
-					return Result{}, err
-				}
-				s.Point(float64(x), stats.Pct(red[p][idx]))
-			}
-			perBench = append(perBench, s)
-			chart.Add(s)
-		}
-		avg, err := stats.MeanSeries("average/"+p.String(), perBench)
+		err := benchSeries(e, chart, "/"+p.String(), "average/"+p.String(), xs, func(ti, x int) (float64, error) {
+			size, line := cfgOf(x)
+			red, err := missReductions(e, ti, size, line)
+			return stats.Pct(red[p][idx]), err
+		})
 		if err != nil {
 			return Result{}, err
 		}
-		chart.Add(avg)
 	}
 	return Result{Chart: chart}, nil
 }
@@ -193,12 +153,7 @@ func fig17(e *Env) (Result, error) {
 		for _, g := range geoms {
 			m := map[cache.WriteMissPolicy]uint64{}
 			for _, p := range cache.WriteMissPolicies() {
-				cfg := stdConfig(g.size, g.line)
-				cfg.WriteMiss = p
-				if p == cache.WriteAround || p == cache.WriteInvalidate {
-					cfg.WriteHit = cache.WriteThrough
-				}
-				cs, err := e.CacheStats(ti, cfg)
+				cs, err := e.CacheStats(ti, policyConfig(g.size, g.line, p))
 				if err != nil {
 					return Result{}, err
 				}

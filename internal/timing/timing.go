@@ -147,6 +147,46 @@ func (q *drainQueue) push(t uint64, capacity int) (stall uint64, now uint64) {
 	return stall, t
 }
 
+// model is the timing state. Attached as the L1's back side, it turns
+// each fetch, dirty victim and write-through word into cycles as the
+// cache emits it.
+type model struct {
+	cfg  Config
+	s    Stats
+	now  uint64
+	kind trace.Kind // kind of the event being replayed
+	wb   drainQueue
+	vb   drainQueue
+}
+
+// FetchLine stalls the CPU for the fetch, charged to the current
+// event's kind.
+func (m *model) FetchLine(uint32, int) {
+	stall := uint64(m.cfg.FetchLatency)
+	if m.kind == trace.Write {
+		m.s.WriteMissStalls += stall
+	} else {
+		m.s.ReadMissStalls += stall
+	}
+	m.now += stall
+}
+
+// WritebackLine queues a dirty victim in the victim buffer; the CPU
+// only waits when the buffer is full (it must, or the victim's data
+// would be lost to the refill).
+func (m *model) WritebackLine(uint32, int, int) {
+	stall, now := m.vb.push(m.now, m.cfg.VictimBufferEntries)
+	m.s.VictimStalls += stall
+	m.now = now
+}
+
+// WriteWord queues a write-through word in the write buffer.
+func (m *model) WriteWord(uint32, uint8) {
+	stall, now := m.wb.push(m.now, m.cfg.WriteBufferEntries)
+	m.s.WriteBufferStalls += stall
+	m.now = now
+}
+
 // Evaluate runs the trace through the functional cache and the timing
 // model.
 func Evaluate(cfg Config, t *trace.Trace) (Stats, error) {
@@ -157,53 +197,18 @@ func Evaluate(cfg Config, t *trace.Trace) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-
-	var s Stats
-	var now uint64
-	wb := &drainQueue{rate: uint64(cfg.WriteRetire)}
-	vb := &drainQueue{rate: uint64(cfg.WritebackCycles)}
-
-	var prev cache.Stats
+	m := &model{cfg: cfg,
+		wb: drainQueue{rate: uint64(cfg.WriteRetire)},
+		vb: drainQueue{rate: uint64(cfg.WritebackCycles)}}
+	c.SetBackside(m)
 	for _, e := range t.Events {
-		now += e.Instructions()
+		m.now += e.Instructions()
+		m.kind = e.Kind
 		c.Access(e)
-		cur := c.Stats()
-
-		fetches := cur.Fetches - prev.Fetches
-		writebacks := cur.Writebacks - prev.Writebacks
-		wtWords := cur.WriteThroughs - prev.WriteThroughs
-
-		// Dirty victims queue into the victim buffer; the CPU only waits
-		// when the buffer is full (it must, or the victim's data would be
-		// lost to the refill).
-		for i := uint64(0); i < writebacks; i++ {
-			stall, t2 := vb.push(now, cfg.VictimBufferEntries)
-			s.VictimStalls += stall
-			now = t2
-		}
-
-		// Fetches stall the CPU directly.
-		if fetches > 0 {
-			stall := fetches * uint64(cfg.FetchLatency)
-			if e.Kind == trace.Write {
-				s.WriteMissStalls += stall
-			} else {
-				s.ReadMissStalls += stall
-			}
-			now += stall
-		}
-
-		// Write-through words enter the write buffer.
-		for i := uint64(0); i < wtWords; i++ {
-			stall, t2 := wb.push(now, cfg.WriteBufferEntries)
-			s.WriteBufferStalls += stall
-			now = t2
-		}
-
-		prev = cur
 	}
+	s := m.s
 	s.Cache = c.Stats()
 	s.Instructions = s.Cache.Instructions
-	s.Cycles = now
+	s.Cycles = m.now
 	return s, nil
 }

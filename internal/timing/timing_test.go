@@ -175,6 +175,30 @@ func TestVictimBufferStall(t *testing.T) {
 	}
 }
 
+// TestLineCrossingChargedPerLine: an access spanning two lines is
+// timed line by line, in the order the cache does the work. Each
+// line's dirty victim enters the victim buffer just before that line's
+// fetch, so the second victim finds the buffer drained during the
+// first fetch.
+func TestLineCrossingChargedPerLine(t *testing.T) {
+	cfg := baseCfg(cache.FetchOnWrite, cache.WriteBack)
+	cfg.L1.LineSize = 4
+	tr := &trace.Trace{Events: []trace.Event{
+		wr(0, 0), wr(4, 0), // two dirty lines in sets 0 and 1
+		{Addr: 1024, Size: 8, Kind: trace.Read}, // conflicts with both
+	}}
+	s, err := Evaluate(cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.VictimStalls != 0 {
+		t.Errorf("victim stalls = %d, want 0", s.VictimStalls)
+	}
+	if s.ReadMissStalls != 20 || s.WriteMissStalls != 20 {
+		t.Errorf("miss stalls = %d read / %d write, want 20 / 20", s.ReadMissStalls, s.WriteMissStalls)
+	}
+}
+
 func TestCPIZeroSafe(t *testing.T) {
 	var s Stats
 	if s.CPI() != 0 || s.MemStallCPI() != 0 {
