@@ -19,7 +19,8 @@ test: require-go
 	$(GO) test ./...
 
 # lint runs the repository's own analyzer suite (see docs/simlint.md):
-# nopanic, hotpath, sentinelerr, determinism, ctxloop. Always ./... —
+# nopanic, hotpath, sentinelerr, determinism, ctxloop, vfsonly,
+# lockheld, errflow, statsound. Always ./... —
 # hotpath facts are collected module-wide, so subset runs can report
 # false positives for cross-package hot calls.
 lint: require-go
@@ -29,7 +30,8 @@ lint: require-go
 # under the race detector (including the multi-core coherence tests in
 # internal/coherence), vet and tests of the cmd/perfbench module, the
 # byte-for-byte golden check of every figure and table, a short fuzz
-# smoke over the trace decoders, a single-iteration smoke of the sweep-engine benchmarks, the
+# smoke over the trace decoders and the journal recovery
+# (FuzzJournalRecover), a single-iteration smoke of the sweep-engine benchmarks, the
 # performance regression gate against the committed BENCH_sweep.json
 # scaling matrix, the SIGKILL/resume crash-safety smoke, and the
 # simserved chaos smoke (64 racing clients, 3 server SIGKILLs,

@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"cachewrite/internal/cache"
-	"cachewrite/internal/core"
 	"cachewrite/internal/timing"
 	"cachewrite/internal/trace"
 	"cachewrite/internal/writecache"
@@ -80,12 +79,12 @@ func Recommend(req Request, t *trace.Trace) (Advice, error) {
 	var adv Advice
 	var why strings.Builder
 
-	// Step 1: write-miss policy by misses, tie-broken by estimated CPI.
-	cmp, err := core.ComparePolicies(geom, t)
-	if err != nil {
-		return Advice{}, err
-	}
+	// Step 1: write-miss policy by estimated CPI. Each timing run also
+	// carries its L1 counters, so the miss and traffic figures below
+	// come from the same four simulations (miss counts do not depend on
+	// the write-hit policy).
 	adv.CPI = make(map[cache.WriteMissPolicy]float64, 4)
+	l1 := make(map[cache.WriteMissPolicy]cache.Stats, 4)
 	best := cache.FetchOnWrite
 	bestCPI := 0.0
 	for _, p := range cache.WriteMissPolicies() {
@@ -106,23 +105,20 @@ func Recommend(req Request, t *trace.Trace) (Advice, error) {
 			return Advice{}, err
 		}
 		adv.CPI[p] = s.CPI()
+		l1[p] = s.Cache
 		if bestCPI == 0 || s.CPI() < bestCPI {
 			bestCPI = s.CPI()
 			best = p
 		}
 	}
 	adv.WriteMiss = best
-	adv.MissReduction = cmp.TotalMissReduction(best)
+	_, adv.MissReduction = l1[best].MissReductions(l1[cache.FetchOnWrite])
 	fmt.Fprintf(&why, "%s minimizes estimated CPI (%.3f vs %.3f for fetch-on-write), removing %.0f%% of fetch-triggering misses.\n",
 		best, adv.CPI[best], adv.CPI[cache.FetchOnWrite], 100*adv.MissReduction)
 
-	// Step 2: write-back vs write-through + write cache (§3.3).
-	wbCache, err := cache.New(geom)
-	if err != nil {
-		return Advice{}, err
-	}
-	wbCache.AccessTrace(t)
-	adv.WBTrafficCut = wbCache.Stats().WritesToDirtyFraction()
+	// Step 2: write-back vs write-through + write cache (§3.3). The
+	// fetch-on-write run above is the write-back cache under study.
+	adv.WBTrafficCut = l1[cache.FetchOnWrite].WritesToDirtyFraction()
 
 	entries, wcCut, err := sizeWriteCache(req, t)
 	if err != nil {
@@ -157,15 +153,20 @@ func Recommend(req Request, t *trace.Trace) (Advice, error) {
 // entry count whose marginal gain drops below one percentage point.
 func sizeWriteCache(req Request, t *trace.Trace) (entries int, removed float64, err error) {
 	prev := 0.0
+	first := 0.0
 	best := 0
 	bestRemoved := 0.0
-	for n := 1; n <= req.WriteCacheMax; n++ {
+	// n=1 always runs: it is the floor returned when nothing coalesces.
+	for n := 1; n == 1 || n <= req.WriteCacheMax; n++ {
 		wc, err := writecache.New(writecache.Config{Entries: n, LineSize: 8})
 		if err != nil {
 			return 0, 0, err
 		}
 		wc.Run(t)
 		f := wc.Stats().RemovedFraction()
+		if n == 1 {
+			first = f
+		}
 		if f-prev >= 0.01 {
 			best = n
 			bestRemoved = f
@@ -175,13 +176,7 @@ func sizeWriteCache(req Request, t *trace.Trace) (entries int, removed float64, 
 	if best == 0 {
 		// Nothing coalesces (streaming writes): a single entry is the
 		// honest minimum.
-		best = 1
-		wc, err := writecache.New(writecache.Config{Entries: 1, LineSize: 8})
-		if err != nil {
-			return 0, 0, err
-		}
-		wc.Run(t)
-		bestRemoved = wc.Stats().RemovedFraction()
+		return 1, first, nil
 	}
 	return best, bestRemoved, nil
 }

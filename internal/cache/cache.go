@@ -125,15 +125,6 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns a copy of the counters accumulated so far.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// Reset clears all lines and counters.
-func (c *Cache) Reset() {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
-	c.tick = 0
-	c.stats = Stats{}
-}
-
 // spanResult aggregates per-line outcomes of one (possibly
 // line-crossing) access event.
 type spanResult struct {
@@ -621,7 +612,7 @@ func (c *Cache) String() string {
 // tag that cannot match any simulated address (the top tag bit is
 // forced on, and workload addresses stay in the low 2GB), and a
 // fraction fracDirty of those is marked fully dirty. Deterministic for
-// a given seed. Must be called on an empty (fresh or Reset) cache.
+// a given seed. Must be called on a fresh cache.
 func (c *Cache) SeedDirty(fracValid, fracDirty float64, seed uint64) error {
 	if fracValid < 0 || fracValid > 1 || fracDirty < 0 || fracDirty > 1 {
 		return fmt.Errorf("cache: seed fractions must be in [0,1]")

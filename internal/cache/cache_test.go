@@ -468,18 +468,6 @@ func TestBacksideTraffic(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	c := MustNew(cfg8k16(WriteBack, FetchOnWrite))
-	c.Access(wr(0x100, 8))
-	c.Reset()
-	if c.ResidentLines() != 0 {
-		t.Error("lines survive Reset")
-	}
-	if c.Stats() != (Stats{}) {
-		t.Error("stats survive Reset")
-	}
-}
-
 func TestAccessTraceAndInstructionCount(t *testing.T) {
 	c := MustNew(cfg8k16(WriteBack, FetchOnWrite))
 	tr := &trace.Trace{Events: []trace.Event{

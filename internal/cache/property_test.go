@@ -131,7 +131,7 @@ func TestInvariantsAcrossConfigs(t *testing.T) {
 			// Documented: degenerates safely; nothing more to check here.
 			_ = s
 		}
-		resident := c.ResidentLines()
+		resident, dirty := c.ResidentLines(), c.DirtyLines()
 		if resident > cfg.Size/cfg.LineSize {
 			t.Fatalf("%s: %d resident lines exceed capacity", cfg, resident)
 		}
@@ -143,6 +143,9 @@ func TestInvariantsAcrossConfigs(t *testing.T) {
 		if s.FlushVictims != uint64(resident) {
 			t.Fatalf("%s: flush victims %d != resident %d", cfg, s.FlushVictims, resident)
 		}
+		if s.FlushDirtyVictims != uint64(dirty) {
+			t.Fatalf("%s: flush dirty victims %d != dirty lines %d", cfg, s.FlushDirtyVictims, dirty)
+		}
 	}
 }
 
@@ -153,14 +156,16 @@ func TestInvariantsAcrossConfigs(t *testing.T) {
 func TestMissCountsIndependentOfHitPolicy(t *testing.T) {
 	f := func(seed int64) bool {
 		tr := randomTrace(seed, 2000)
-		for _, miss := range []WriteMissPolicy{FetchOnWrite, WriteValidate} {
-			wt := MustNew(Config{Size: 1 << 10, LineSize: 16, Assoc: 1, WriteHit: WriteThrough, WriteMiss: miss})
-			wb := MustNew(Config{Size: 1 << 10, LineSize: 16, Assoc: 1, WriteHit: WriteBack, WriteMiss: miss})
-			wt.AccessTrace(tr)
-			wb.AccessTrace(tr)
-			if wt.Stats().Misses() != wb.Stats().Misses() ||
-				wt.Stats().ReadMissEvents != wb.Stats().ReadMissEvents {
-				return false
+		for _, assoc := range []int{1, 2} {
+			for _, miss := range WriteMissPolicies() {
+				wt := MustNew(Config{Size: 1 << 10, LineSize: 16, Assoc: assoc, WriteHit: WriteThrough, WriteMiss: miss})
+				wb := MustNew(Config{Size: 1 << 10, LineSize: 16, Assoc: assoc, WriteHit: WriteBack, WriteMiss: miss})
+				wt.AccessTrace(tr)
+				wb.AccessTrace(tr)
+				if wt.Stats().Misses() != wb.Stats().Misses() ||
+					wt.Stats().ReadMissEvents != wb.Stats().ReadMissEvents {
+					return false
+				}
 			}
 		}
 		return true

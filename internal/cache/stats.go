@@ -110,6 +110,28 @@ func (s Stats) WritesToDirtyFraction() float64 {
 	return ratio(s.WritesToDirtyLines, s.Writes)
 }
 
+// MissReductions returns the paper's Figs 13–16 metrics for s against
+// the fetch-on-write run fow of the same trace and geometry: the
+// fetch-triggering misses s avoids, as a fraction of fow's fetched
+// write misses (Figs 13/15) and of all of fow's misses (Figs 14/16).
+// A zero denominator gives 0.
+//
+// Both count all fetch-triggering misses: a write-validate allocation
+// whose invalid bytes are later read induces a read miss, which charges
+// against the policy exactly as the paper defines eliminated misses
+// (§4). The write reduction can exceed 1 when a policy also avoids read
+// misses (the paper's liver/write-around case).
+func (s Stats) MissReductions(fow Stats) (write, total float64) {
+	saved := float64(fow.Misses()) - float64(s.Misses())
+	if fow.FetchedWriteMisses > 0 {
+		write = saved / float64(fow.FetchedWriteMisses)
+	}
+	if fow.Misses() > 0 {
+		total = saved / float64(fow.Misses())
+	}
+	return write, total
+}
+
 // DirtyVictimFraction returns the fraction of victims with at least one
 // dirty byte, under cold-stop accounting (paper Fig 20 solid lines,
 // Fig 23).

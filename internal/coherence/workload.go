@@ -4,8 +4,9 @@
 // their base addresses so every core touches them at the same place —
 // true sharing with deterministic, address-hashed selection. The
 // per-core streams carry stagger offsets and are merged by instruction
-// time with trace.Merge, either by System.Run (coherent replay) or via
-// trace.InterleaveOffset (a single-cache baseline stream).
+// time with trace.Merge, the one multi-stream schedule: System.Run
+// replays it coherently, and a single shared cache can replay the same
+// order as a no-coherence baseline.
 package coherence
 
 import (
@@ -137,12 +138,4 @@ func sharedGranule(g uint32, threshold uint64) bool {
 	x *= 0x735a2d97
 	x ^= x >> 15
 	return uint64(x) < threshold
-}
-
-// Interleaved merges the per-core streams (with their stagger offsets)
-// into a single trace — the reference schedule one shared cache would
-// observe. The stats report how faithfully the merged gaps fit the
-// trace format (see trace.InterleaveStats).
-func (w *Workload) Interleaved() (*trace.Trace, trace.InterleaveStats) {
-	return trace.InterleaveOffset(w.Name, w.Offsets, w.PerCore...)
 }

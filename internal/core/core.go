@@ -92,28 +92,9 @@ func ComparePolicies(base cache.Config, t *trace.Trace) (PolicyComparison, error
 	return cmp, nil
 }
 
-// WriteMissReduction returns the paper's Figs 13/15 metric for policy
-// p: the reduction in fetch-triggering misses relative to
-// fetch-on-write, expressed as a fraction of fetch-on-write's *write*
-// misses. Values above 1 are possible (the paper's liver/write-around
-// case) when a policy also avoids read misses.
-func (c PolicyComparison) WriteMissReduction(p cache.WriteMissPolicy) float64 {
-	fow := c.ByPolicy[cache.FetchOnWrite]
-	if fow.FetchedWriteMisses == 0 {
-		return 0
-	}
-	saved := float64(fow.Misses()) - float64(c.ByPolicy[p].Misses())
-	return saved / float64(fow.FetchedWriteMisses)
-}
-
-// TotalMissReduction returns the paper's Figs 14/16 metric: the
-// reduction in all fetch-triggering misses relative to fetch-on-write,
-// as a fraction of fetch-on-write's total misses.
+// TotalMissReduction returns the paper's Figs 14/16 metric for policy
+// p relative to fetch-on-write (see cache.Stats.MissReductions).
 func (c PolicyComparison) TotalMissReduction(p cache.WriteMissPolicy) float64 {
-	fow := c.ByPolicy[cache.FetchOnWrite]
-	if fow.Misses() == 0 {
-		return 0
-	}
-	saved := float64(fow.Misses()) - float64(c.ByPolicy[p].Misses())
-	return saved / float64(fow.Misses())
+	_, total := c.ByPolicy[p].MissReductions(c.ByPolicy[cache.FetchOnWrite])
+	return total
 }

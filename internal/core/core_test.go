@@ -98,7 +98,7 @@ func TestComparePoliciesOnBlockCopy(t *testing.T) {
 	if len(cmp.ByPolicy) != 4 {
 		t.Fatalf("compared %d policies", len(cmp.ByPolicy))
 	}
-	wv := cmp.WriteMissReduction(cache.WriteValidate)
+	wv, _ := cmp.ByPolicy[cache.WriteValidate].MissReductions(cmp.ByPolicy[cache.FetchOnWrite])
 	if wv < 0.95 {
 		t.Errorf("write-validate removed %.0f%% of copy write misses, want ~100%%", wv*100)
 	}
@@ -127,10 +127,11 @@ func TestComparePoliciesBadConfig(t *testing.T) {
 
 func TestReductionsZeroDenominators(t *testing.T) {
 	cmp := PolicyComparison{ByPolicy: map[cache.WriteMissPolicy]cache.Stats{
-		cache.FetchOnWrite: {},
+		cache.FetchOnWrite:  {},
+		cache.WriteValidate: {ReadMissEvents: 3},
 	}}
-	if cmp.WriteMissReduction(cache.WriteValidate) != 0 ||
-		cmp.TotalMissReduction(cache.WriteValidate) != 0 {
+	write, total := cmp.ByPolicy[cache.WriteValidate].MissReductions(cmp.ByPolicy[cache.FetchOnWrite])
+	if write != 0 || total != 0 || cmp.TotalMissReduction(cache.WriteValidate) != 0 {
 		t.Error("zero denominators must give zero, not NaN")
 	}
 }

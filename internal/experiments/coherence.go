@@ -147,7 +147,7 @@ func extCohTraffic(e *Env) (Result, error) {
 }
 
 // extCohSchemes compares the three coherence schemes at 4 cores (plus
-// a no-coherence baseline: the same interleaved reference stream
+// a no-coherence baseline: the same trace.Merge reference schedule
 // through one shared single-core hierarchy) under the standard
 // write-back fetch-on-write policy.
 func extCohSchemes(e *Env) (Result, error) {
@@ -177,13 +177,12 @@ func extCohSchemes(e *Env) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		merged, _ := w.Interleaved()
 		l2 := cohL2()
 		h, err := hierarchy.New(hierarchy.Config{L1: stdConfig(StdCacheSize, StdLineSize), L2: &l2})
 		if err != nil {
 			return Result{}, err
 		}
-		h.AccessTrace(merged)
+		trace.Merge(w.Offsets, w.PerCore, func(_ int, e trace.Event, _ uint64) { h.Access(e) })
 		h.Flush()
 		ls, hs := h.L1().Stats(), h.Stats()
 		k := float64(ls.Refs()) / 1000

@@ -358,21 +358,19 @@ func extWarm(e *Env) (Result, error) {
 	// writes still resident (the paper's liver/yacc anomaly).
 	cfg := stdConfig(64<<10, StdLineSize)
 	lines := cfg.Size / cfg.LineSize
-	for _, t := range e.Traces {
-		// First run: measure the residual state.
-		first, err := cache.New(cfg)
+	for ti, t := range e.Traces {
+		// First run: the memoized flush-stop run. Its flush victims are
+		// exactly the lines resident at the end, so they give the
+		// residual state.
+		flushed, err := e.CacheStats(ti, cfg)
 		if err != nil {
 			return Result{}, err
 		}
-		first.AccessTrace(t)
-		fracValid := float64(first.ResidentLines()) / float64(lines)
+		fracValid := float64(flushed.FlushVictims) / float64(lines)
 		fracDirty := 0.0
-		if first.ResidentLines() > 0 {
-			fracDirty = float64(first.DirtyLines()) / float64(first.ResidentLines())
+		if flushed.FlushVictims > 0 {
+			fracDirty = float64(flushed.FlushDirtyVictims) / float64(flushed.FlushVictims)
 		}
-		s1 := first.Stats()
-		first.Flush()
-		flushed := first.Stats()
 
 		// Second run: seeded with the first run's residual fractions.
 		second, err := cache.New(cfg)
@@ -386,7 +384,7 @@ func extWarm(e *Env) (Result, error) {
 		warm := second.Stats()
 
 		tbl.AddRow(t.Name,
-			stats.FmtPct(s1.DirtyVictimFraction()),
+			stats.FmtPct(flushed.DirtyVictimFraction()),
 			stats.FmtPct(flushed.DirtyVictimFractionFlushed()),
 			stats.FmtPct(warm.DirtyVictimFraction()),
 			stats.FmtPct(fracValid*fracDirty))

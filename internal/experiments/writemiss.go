@@ -45,14 +45,7 @@ var strategies = []cache.WriteMissPolicy{cache.WriteValidate, cache.WriteAround,
 // missReductions computes, for trace ti and geometry (size, line), the
 // write-miss reduction (Figs 13/15 metric) and total-miss reduction
 // (Figs 14/16 metric) of each no-fetch strategy relative to
-// fetch-on-write.
-//
-// Reductions count all fetch-triggering misses: a write-validate
-// allocation whose invalid bytes are later read induces a read miss
-// which charges against the policy, exactly as the paper defines
-// eliminated misses (§4). Write-around can exceed 100% write-miss
-// reduction when leaving old lines resident also avoids read misses
-// (the paper's liver case).
+// fetch-on-write (see cache.Stats.MissReductions).
 func missReductions(e *Env, ti, size, line int) (map[cache.WriteMissPolicy][2]float64, error) {
 	fow, err := e.CacheStats(ti, stdConfig(size, line))
 	if err != nil {
@@ -64,14 +57,7 @@ func missReductions(e *Env, ti, size, line int) (map[cache.WriteMissPolicy][2]fl
 		if err != nil {
 			return nil, err
 		}
-		saved := float64(fow.Misses()) - float64(cs.Misses())
-		var wmr, tmr float64
-		if fow.FetchedWriteMisses > 0 {
-			wmr = saved / float64(fow.FetchedWriteMisses)
-		}
-		if fow.Misses() > 0 {
-			tmr = saved / float64(fow.Misses())
-		}
+		wmr, tmr := cs.MissReductions(fow)
 		out[p] = [2]float64{wmr, tmr}
 	}
 	return out, nil

@@ -58,20 +58,6 @@ func (s Scheme) String() string {
 	}
 }
 
-// OverheadBitsPerWord returns the storage overhead per 32-bit data
-// word (§3: 4 parity bits vs 6 ECC bits; an unprotected array pays
-// nothing).
-func (s Scheme) OverheadBitsPerWord() int {
-	switch s {
-	case ByteParity:
-		return 4
-	case WordSECECC:
-		return 6
-	default:
-		return 0
-	}
-}
-
 // ParseScheme reads a scheme name as used by CLI flags: "parity",
 // "ecc" or "none".
 func ParseScheme(s string) (Scheme, error) {

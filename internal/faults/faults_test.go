@@ -49,12 +49,6 @@ func TestSchemeStrings(t *testing.T) {
 	if Scheme(9).String() == "" {
 		t.Error("unknown scheme should render")
 	}
-	if ByteParity.OverheadBitsPerWord() != 4 || WordSECECC.OverheadBitsPerWord() != 6 {
-		t.Error("overhead bits wrong (paper: 4 parity vs 6 ECC per 32b word)")
-	}
-	if Scheme(9).OverheadBitsPerWord() != 0 {
-		t.Error("unknown scheme overhead should be 0")
-	}
 }
 
 func TestValidate(t *testing.T) {

@@ -99,15 +99,6 @@ func (s Stats) CPI() float64 {
 	return float64(s.Cycles) / float64(s.Instructions)
 }
 
-// MemStallCPI returns the memory-system stall component of CPI.
-func (s Stats) MemStallCPI() float64 {
-	if s.Instructions == 0 {
-		return 0
-	}
-	stalls := s.ReadMissStalls + s.WriteMissStalls + s.WriteBufferStalls + s.VictimStalls
-	return float64(stalls) / float64(s.Instructions)
-}
-
 // drainQueue models a FIFO drained at a fixed rate: entries become free
 // rate cycles apart once the drain engine reaches them.
 type drainQueue struct {

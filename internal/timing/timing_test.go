@@ -201,7 +201,7 @@ func TestLineCrossingChargedPerLine(t *testing.T) {
 
 func TestCPIZeroSafe(t *testing.T) {
 	var s Stats
-	if s.CPI() != 0 || s.MemStallCPI() != 0 {
+	if s.CPI() != 0 {
 		t.Error("zero stats divide by zero")
 	}
 }

@@ -66,9 +66,6 @@ type Event struct {
 //simlint:hotpath
 func (e Event) Instructions() uint64 { return uint64(e.Gap) + 1 }
 
-// End returns the first byte address past the access.
-func (e Event) End() uint32 { return e.Addr + uint32(e.Size) }
-
 // String renders the event in the text trace format: "r addr size gap".
 func (e Event) String() string {
 	c := "r"
@@ -145,29 +142,6 @@ func (t *Trace) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Writes returns a new trace containing only the store events, with
-// gaps adjusted so instruction positions of the retained events are
-// preserved (gaps of dropped reads are folded into the next write,
-// saturating at the Gap field's capacity).
-func (t *Trace) Writes() *Trace {
-	out := &Trace{Name: t.Name}
-	var pending uint64
-	for _, e := range t.Events {
-		if e.Kind != Write {
-			pending += e.Instructions()
-			continue
-		}
-		g := pending + uint64(e.Gap)
-		if g > 0xffff {
-			g = 0xffff
-		}
-		e.Gap = uint16(g)
-		out.Events = append(out.Events, e)
-		pending = 0
-	}
-	return out
 }
 
 // Slice returns a shallow sub-trace covering events [lo, hi).

@@ -5,70 +5,6 @@ import (
 	"sort"
 )
 
-// InterleaveStats reports the timing fidelity of an interleave merge.
-// The Gap field of an Event holds at most 65535 instructions, so a
-// merged stream whose schedule contains a longer quiet period cannot
-// express it on a single event; the merge instead carries the excess
-// forward into the gaps of later events (which were computed against a
-// smaller emitted time and therefore have headroom).
-type InterleaveStats struct {
-	// GapSplits counts events whose scheduled gap exceeded the Gap
-	// field's capacity and was carried into subsequent events.
-	GapSplits uint64
-	// CarriedMax is the largest instruction deficit outstanding at any
-	// point of the merge (how far emitted time lagged the schedule).
-	CarriedMax uint64
-	// LostInstructions is the deficit still outstanding when the merge
-	// ran out of carrier events; Instructions() of the merged trace is
-	// short by exactly this amount. Zero whenever enough events follow
-	// every oversized gap.
-	LostInstructions uint64
-}
-
-// InterleaveOffset merges traces by instruction time: events are
-// replayed in global instruction order, modelling independent phases
-// sharing one cache (coarse-grained multiprogramming without address
-// translation). Input i begins at instruction time offsets[i] (nil or
-// missing entries mean zero), so staggered phase arrivals can be
-// modelled. Ties at an instruction slot resolve by input order for
-// determinism. Gaps are recomputed so the merged trace's instruction
-// positions match the union schedule; gaps longer than the Gap field's
-// capacity are split across subsequent events, preserving total
-// instruction time. The returned stats describe how faithfully the
-// schedule fit the Gap field's capacity.
-func InterleaveOffset(name string, offsets []uint64, ts ...*Trace) (*Trace, InterleaveStats) {
-	out := &Trace{Name: name}
-	var st InterleaveStats
-	// emitted is the instruction time the output events represent so
-	// far (sum of gap+1); ideal is the same sum had gaps been unbounded.
-	// Their difference is the deficit an oversized gap left behind,
-	// absorbed by later events whose gaps are computed against emitted.
-	var emitted, ideal uint64
-	Merge(offsets, ts, func(_ int, e Event, when uint64) {
-		gap := uint64(0)
-		if when > emitted {
-			gap = when - emitted - 1
-		}
-		if when > ideal {
-			ideal += when - ideal
-		} else {
-			ideal++
-		}
-		if gap > 0xffff {
-			st.GapSplits++
-			gap = 0xffff
-		}
-		e.Gap = uint16(gap)
-		out.Append(e)
-		emitted += gap + 1
-		if d := ideal - emitted; d > st.CarriedMax {
-			st.CarriedMax = d
-		}
-	})
-	st.LostInstructions = ideal - emitted
-	return out, st
-}
-
 // Merge visits the events of ts in global instruction-time order. Input
 // i starts at instruction time offsets[i] (missing entries mean zero)
 // and each of its events is scheduled Instructions() after the one
@@ -164,60 +100,4 @@ func CompactRegions(t *Trace, blockBits uint) (*Trace, error) {
 		out.Events[i] = e
 	}
 	return out, nil
-}
-
-// Region is a contiguous address range [Base, Base+Size) with access
-// counts, produced by Regions.
-type Region struct {
-	Base   uint32
-	Size   uint64
-	Reads  uint64
-	Writes uint64
-}
-
-// Regions clusters the trace's footprint into regions separated by at
-// least gap unused bytes and reports per-region access counts — a
-// data-structure-level view of a workload (stack vs heap vs static, or
-// individual arrays).
-func Regions(t *Trace, gap uint32) []Region {
-	if t.Len() == 0 {
-		return nil
-	}
-	type span struct {
-		lo, hi uint32
-		r, w   uint64
-	}
-	spans := make([]span, 0, t.Len())
-	for _, e := range t.Events {
-		s := span{lo: e.Addr, hi: e.Addr + uint32(e.Size)}
-		if e.Kind == Write {
-			s.w = 1
-		} else {
-			s.r = 1
-		}
-		spans = append(spans, s)
-	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
-
-	var out []Region
-	cur := Region{Base: spans[0].lo}
-	curHi := spans[0].lo
-	flush := func() {
-		cur.Size = uint64(curHi - cur.Base)
-		out = append(out, cur)
-	}
-	for _, s := range spans {
-		if s.lo > curHi && uint64(s.lo-curHi) >= uint64(gap) {
-			flush()
-			cur = Region{Base: s.lo}
-			curHi = s.lo
-		}
-		cur.Reads += s.r
-		cur.Writes += s.w
-		if s.hi > curHi {
-			curHi = s.hi
-		}
-	}
-	flush()
-	return out
 }

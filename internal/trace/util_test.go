@@ -5,10 +5,22 @@ import (
 	"testing"
 )
 
+// merged is one Merge visit: the event's address and scheduled time.
+type merged struct {
+	addr uint32
+	when uint64
+}
+
+// mergeAll collects the visits of a Merge over ts.
+func mergeAll(offsets []uint64, ts ...*Trace) []merged {
+	var out []merged
+	Merge(offsets, ts, func(_ int, e Event, when uint64) {
+		out = append(out, merged{e.Addr, when})
+	})
+	return out
+}
+
 func TestInterleaveByTime(t *testing.T) {
-	// a's events at instruction times 1, 2; b's at 1.5-ish: b has gap 0
-	// event after a gap-0 event... construct: a = events at t=1, t=2.
-	// b = one event at t=3 (gap 2).
 	a := &Trace{Events: []Event{
 		{Addr: 0x0, Size: 4, Kind: Read}, // t=1
 		{Addr: 0x4, Size: 4, Kind: Read}, // t=2
@@ -16,48 +28,37 @@ func TestInterleaveByTime(t *testing.T) {
 	b := &Trace{Events: []Event{
 		{Addr: 0x100, Size: 4, Kind: Write, Gap: 2}, // t=3
 	}}
-	out, _ := InterleaveOffset("mix", nil, a, b)
-	if out.Len() != 3 {
-		t.Fatalf("len = %d", out.Len())
-	}
-	if out.Events[0].Addr != 0x0 || out.Events[1].Addr != 0x4 || out.Events[2].Addr != 0x100 {
-		t.Fatalf("order: %+v", out.Events)
-	}
-	// Instruction positions preserved: total = 3.
-	if got := out.Stats().Instructions; got != 3 {
-		t.Errorf("instructions = %d, want 3", got)
+	got := mergeAll(nil, a, b)
+	want := []merged{{0x0, 1}, {0x4, 2}, {0x100, 3}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("visits = %+v, want %+v", got, want)
 	}
 }
 
 func TestInterleaveDeterministicTies(t *testing.T) {
 	a := &Trace{Events: []Event{{Addr: 0x0, Size: 4, Kind: Read}}}
 	b := &Trace{Events: []Event{{Addr: 0x100, Size: 4, Kind: Read}}}
-	out, _ := InterleaveOffset("mix", nil, a, b)
 	// Tie at t=1: input order wins.
-	if out.Events[0].Addr != 0x0 {
-		t.Error("tie broken against input order")
-	}
-	if out.Events[1].Gap != 0 {
-		t.Errorf("tied second event gap = %d", out.Events[1].Gap)
+	got := mergeAll(nil, a, b)
+	want := []merged{{0x0, 1}, {0x100, 1}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("tie broken against input order: %+v", got)
 	}
 }
 
 func TestInterleaveEmptyInputs(t *testing.T) {
-	if out, _ := InterleaveOffset("x", nil); out.Len() != 0 {
-		t.Error("no inputs should give empty trace")
+	if got := mergeAll(nil); len(got) != 0 {
+		t.Error("no inputs should visit nothing")
 	}
 	a := &Trace{Events: []Event{{Addr: 0, Size: 4, Kind: Read}}}
-	if out, _ := InterleaveOffset("x", nil, a, &Trace{}); out.Len() != 1 {
+	if got := mergeAll(nil, a, &Trace{}); len(got) != 1 {
 		t.Error("empty input mishandled")
 	}
 }
 
-// TestInterleaveOffsetSplitsOversizedGaps is the regression test for
-// the gap-clamp bug: a scheduled quiet period longer than the Gap
-// field's 65535-instruction capacity used to be silently truncated,
-// shortening the merged trace. The split implementation carries the
-// excess into later carrier events, so total instruction time is
-// preserved exactly.
+// TestInterleaveOffsetSplitsOversizedGaps: a quiet period longer than
+// the Gap field's 65535-instruction capacity is scheduled exactly —
+// Merge keeps instruction time in a uint64 and never truncates it.
 func TestInterleaveOffsetSplitsOversizedGaps(t *testing.T) {
 	a := &Trace{Events: []Event{{Addr: 0x0, Size: 4, Kind: Read}}} // t=1
 	b := &Trace{Events: []Event{
@@ -66,47 +67,21 @@ func TestInterleaveOffsetSplitsOversizedGaps(t *testing.T) {
 		{Addr: 0x108, Size: 4, Kind: Read}, // t=offset+3
 	}}
 	const offset = 100000
-	out, st := InterleaveOffset("mix", []uint64{0, offset}, a, b)
-	if out.Len() != 4 {
-		t.Fatalf("len = %d", out.Len())
-	}
-	// Union schedule: events at 1, 100001, 100002, 100003 → 100003
-	// instructions total.
-	if got := out.Stats().Instructions; got != offset+3 {
-		t.Errorf("instructions = %d, want %d", got, offset+3)
-	}
-	if st.GapSplits != 1 {
-		t.Errorf("gap splits = %d, want 1", st.GapSplits)
-	}
-	if st.LostInstructions != 0 {
-		t.Errorf("lost instructions = %d, want 0", st.LostInstructions)
-	}
-	// The oversized gap saturates its event and the remainder lands on
-	// the next carrier: 1 + (65535+1) + (34464+1) + (0+1) = 100003.
-	if out.Events[1].Gap != 0xffff {
-		t.Errorf("split event gap = %d, want 65535", out.Events[1].Gap)
-	}
-	if out.Events[2].Gap != 34464 {
-		t.Errorf("carrier event gap = %d, want 34464", out.Events[2].Gap)
-	}
-	if st.CarriedMax != offset+1-65537 {
-		t.Errorf("carried max = %d, want %d", st.CarriedMax, offset+1-65537)
+	got := mergeAll([]uint64{0, offset}, a, b)
+	want := []merged{{0x0, 1}, {0x100, offset + 1}, {0x104, offset + 2}, {0x108, offset + 3}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("visits = %+v, want %+v", got, want)
 	}
 }
 
-// TestInterleaveOffsetLostInstructions: when no carrier events follow
-// an oversized gap, the deficit cannot be represented and must be
-// reported, not silently dropped.
+// TestInterleaveOffsetLostInstructions: an oversized offset with no
+// later events loses no instruction time either.
 func TestInterleaveOffsetLostInstructions(t *testing.T) {
 	a := &Trace{Events: []Event{{Addr: 0x0, Size: 4, Kind: Read}}}
 	b := &Trace{Events: []Event{{Addr: 0x100, Size: 4, Kind: Read}}}
-	out, st := InterleaveOffset("mix", []uint64{0, 200000}, a, b)
-	want := uint64(200001 - (1 + 65536))
-	if st.LostInstructions != want {
-		t.Errorf("lost = %d, want %d", st.LostInstructions, want)
-	}
-	if got := out.Stats().Instructions; got != 200001-want {
-		t.Errorf("instructions = %d, want %d", got, 200001-want)
+	got := mergeAll([]uint64{0, 200000}, a, b)
+	if len(got) != 2 || got[1].when != 200001 {
+		t.Errorf("visits = %+v, want the last at 200001", got)
 	}
 }
 
@@ -119,33 +94,23 @@ func TestInterleaveTieAfterCursorRemoval(t *testing.T) {
 	a := &Trace{Events: []Event{{Addr: 0xa0, Size: 4, Kind: Read}}}         // t=1
 	b := &Trace{Events: []Event{{Addr: 0xb0, Size: 4, Kind: Read, Gap: 2}}} // t=3
 	c := &Trace{Events: []Event{{Addr: 0xc0, Size: 4, Kind: Read, Gap: 2}}} // t=3
-	out, _ := InterleaveOffset("mix", nil, a, b, c)
-	if out.Len() != 3 {
-		t.Fatalf("len = %d", out.Len())
-	}
-	if out.Events[1].Addr != 0xb0 || out.Events[2].Addr != 0xc0 {
-		t.Fatalf("tie after removal broken against input order: %+v", out.Events)
-	}
-	if got := out.Stats().Instructions; got != 4 {
-		t.Errorf("instructions = %d, want 4 (events at 1, 3, 3+1)", got)
+	got := mergeAll(nil, a, b, c)
+	want := []merged{{0xa0, 1}, {0xb0, 3}, {0xc0, 3}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("tie after removal broken against input order: %+v", got)
 	}
 }
 
 // TestInterleaveOffsetEmptyInputs: empty traces are skipped whether or
-// not they carry offsets, and an all-empty merge is empty with clean
-// stats.
+// not they carry offsets, and an all-empty merge visits nothing.
 func TestInterleaveOffsetEmptyInputs(t *testing.T) {
-	out, st := InterleaveOffset("x", []uint64{5, 10})
-	if out.Len() != 0 || st != (InterleaveStats{}) {
-		t.Errorf("no inputs: len %d stats %+v", out.Len(), st)
+	if got := mergeAll([]uint64{5, 10}); len(got) != 0 {
+		t.Errorf("no inputs: visits %+v", got)
 	}
 	a := &Trace{Events: []Event{{Addr: 0, Size: 4, Kind: Read}}}
-	out, st = InterleaveOffset("x", []uint64{7, 3}, &Trace{}, a)
-	if out.Len() != 1 || out.Events[0].Gap != 3 {
-		t.Errorf("empty first input mishandled: len %d events %+v", out.Len(), out.Events)
-	}
-	if st != (InterleaveStats{}) {
-		t.Errorf("stats = %+v, want zero", st)
+	got := mergeAll([]uint64{7, 3}, &Trace{}, a)
+	if want := []merged{{0, 4}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("empty first input mishandled: visits %+v, want %+v", got, want)
 	}
 }
 
@@ -206,41 +171,6 @@ func TestRebase(t *testing.T) {
 	}
 	if _, err := Rebase(a, 1<<32-8); err == nil {
 		t.Error("overflow accepted")
-	}
-}
-
-func TestRegions(t *testing.T) {
-	tr := &Trace{Events: []Event{
-		{Addr: 0x1000, Size: 4, Kind: Read},
-		{Addr: 0x1004, Size: 4, Kind: Write},
-		{Addr: 0x1008, Size: 8, Kind: Write},
-		{Addr: 0x9000, Size: 4, Kind: Read},
-	}}
-	regions := Regions(tr, 0x100)
-	if len(regions) != 2 {
-		t.Fatalf("%d regions: %+v", len(regions), regions)
-	}
-	r0 := regions[0]
-	if r0.Base != 0x1000 || r0.Size != 16 || r0.Reads != 1 || r0.Writes != 2 {
-		t.Errorf("region 0 = %+v", r0)
-	}
-	r1 := regions[1]
-	if r1.Base != 0x9000 || r1.Reads != 1 || r1.Writes != 0 {
-		t.Errorf("region 1 = %+v", r1)
-	}
-	if Regions(&Trace{}, 16) != nil {
-		t.Error("empty trace should give nil regions")
-	}
-}
-
-func TestRegionsMergesOverlaps(t *testing.T) {
-	tr := &Trace{Events: []Event{
-		{Addr: 0x100, Size: 8, Kind: Write},
-		{Addr: 0x104, Size: 4, Kind: Read}, // inside previous span
-	}}
-	regions := Regions(tr, 64)
-	if len(regions) != 1 || regions[0].Size != 8 {
-		t.Fatalf("regions = %+v", regions)
 	}
 }
 

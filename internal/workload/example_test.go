@@ -8,12 +8,13 @@ import (
 
 // Example generates a benchmark trace and prints its Table 1 row.
 func Example() {
-	c, err := workload.Characterize("liver", 1)
+	t, err := workload.Generate("liver", 1)
 	if err != nil {
 		panic(err)
 	}
+	s := t.Stats()
 	fmt.Printf("%s: %d instructions, %d reads, %d writes\n",
-		c.Name, c.Instructions, c.Reads, c.Writes)
+		t.Name, s.Instructions, s.Reads, s.Writes)
 	// Output:
 	// liver: 693129 instructions, 277290 reads, 91128 writes
 }

@@ -163,37 +163,3 @@ func clampScale(scale int) int {
 	}
 	return scale
 }
-
-// Characteristics summarises a workload the way the paper's Table 1
-// does, plus a one-line description.
-type Characteristics struct {
-	Name         string
-	Description  string
-	Instructions uint64
-	Reads        uint64
-	Writes       uint64
-}
-
-// Refs returns total data references.
-func (c Characteristics) Refs() uint64 { return c.Reads + c.Writes }
-
-// Characterize generates the named workload at the given scale and
-// returns its Table 1 row.
-func Characterize(name string, scale int) (Characteristics, error) {
-	w, err := Get(name)
-	if err != nil {
-		return Characteristics{}, err
-	}
-	t, err := Generate(name, scale)
-	if err != nil {
-		return Characteristics{}, err
-	}
-	s := t.Stats()
-	return Characteristics{
-		Name:         name,
-		Description:  w.Description(),
-		Instructions: s.Instructions,
-		Reads:        s.Reads,
-		Writes:       s.Writes,
-	}, nil
-}

@@ -427,20 +427,27 @@ func TestWorkloadCharacteristics(t *testing.T) {
 }
 
 func TestCharacterize(t *testing.T) {
-	c, err := Characterize("liver", 1)
+	// The Table 1 row: a workload's description plus its trace's
+	// instruction and reference counts.
+	w, err := Get("liver")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Name != "liver" || c.Description == "" {
-		t.Errorf("characteristics = %+v", c)
+	tr, err := Generate("liver", 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c.Refs() != c.Reads+c.Writes || c.Refs() == 0 {
+	s := tr.Stats()
+	if tr.Name != "liver" || w.Description() == "" {
+		t.Errorf("name %q, description %q", tr.Name, w.Description())
+	}
+	if s.Refs() != s.Reads+s.Writes || s.Refs() == 0 {
 		t.Error("refs inconsistent")
 	}
-	if c.Instructions < c.Refs() {
+	if s.Instructions < s.Refs() {
 		t.Error("fewer instructions than references")
 	}
-	if _, err := Characterize("nosuch", 1); err == nil {
+	if _, err := Generate("nosuch", 1); err == nil {
 		t.Error("unknown workload characterized")
 	}
 }

@@ -52,8 +52,6 @@ type Stats struct {
 	Merged       uint64 // writes that coalesced into a buffered entry
 	Retired      uint64 // entries written to the next level
 	StallCycles  uint64 // cycles the CPU waited on a full buffer
-	ReadProbes   uint64 // ProbeRead calls (read misses checked)
-	ReadForwards uint64 // probes satisfied from pending entries
 }
 
 // MergedFraction returns the fraction of writes that merged.
@@ -170,31 +168,4 @@ func (b *Buffer) PendingLineAddrs() []uint32 {
 		out[i] = ln * uint32(b.cfg.LineSize)
 	}
 	return out
-}
-
-// ProbeRead reports whether a read of size bytes at addr would be
-// satisfied (forwarded) from a pending buffer entry. Fig 6 shows this
-// path ("data to cache if miss in data cache but hit in ... buffer"):
-// read misses must check the buffer or stale data would be fetched
-// from the next level. The probe drains entries whose retirement time
-// has passed, so it reflects the buffer state at the current clock.
-func (b *Buffer) ProbeRead(addr uint32, size uint8) bool {
-	b.stats.ReadProbes++
-	b.drainUpTo(b.now)
-	first := addr / uint32(b.cfg.LineSize)
-	last := (addr + uint32(size) - 1) / uint32(b.cfg.LineSize)
-	for ln := first; ln <= last; ln++ {
-		found := false
-		for _, have := range b.fifo {
-			if have == ln {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	b.stats.ReadForwards++
-	return true
 }

@@ -97,16 +97,6 @@ func New(cfg Config) (*Cache, error) {
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// Reset clears entries and counters.
-func (c *Cache) Reset() {
-	for i := range c.entries {
-		c.entries[i] = entry{}
-	}
-	c.used = 0
-	c.tick = 0
-	c.stats = Stats{}
-}
-
 // Write offers a store of size bytes at addr. It returns the number of
 // entries evicted to the write buffer (0 when the write merged or the
 // cache had a free slot; writes spanning multiple lines may evict more
@@ -184,28 +174,6 @@ func (c *Cache) ProbeVictim(addr uint32, size uint8) bool {
 	return true
 }
 
-// ProbeRead checks whether a read of size bytes at addr would be
-// satisfied by resident entries (victim-cache mode). The LRU state is
-// refreshed on a hit, as a real victim cache would.
-func (c *Cache) ProbeRead(addr uint32, size uint8) bool {
-	c.stats.ReadProbes++
-	if c.cfg.Entries == 0 {
-		return false
-	}
-	first := addr / uint32(c.cfg.LineSize)
-	last := (addr + uint32(size) - 1) / uint32(c.cfg.LineSize)
-	for ln := first; ln <= last; ln++ {
-		if !c.probeLine(ln) {
-			return false
-		}
-	}
-	for ln := first; ln <= last; ln++ {
-		c.touchLine(ln, false)
-	}
-	c.stats.ReadHits++
-	return true
-}
-
 // Run offers every store in the trace to the cache.
 func (c *Cache) Run(t *trace.Trace) {
 	for _, e := range t.Events {
@@ -262,15 +230,6 @@ func (c *Cache) ResidentEntries() []ResidentEntry {
 		})
 	}
 	return out
-}
-
-func (c *Cache) probeLine(ln uint32) bool {
-	for i := 0; i < c.used; i++ {
-		if c.entries[i].lineNum == ln {
-			return true
-		}
-	}
-	return false
 }
 
 // touchLine refreshes LRU for a resident line, optionally marking it

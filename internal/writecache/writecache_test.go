@@ -107,10 +107,10 @@ func TestDrainCountsOnlyDirty(t *testing.T) {
 func TestVictimCacheMode(t *testing.T) {
 	c, _ := New(Config{Entries: 2, LineSize: 8})
 	c.AllocateVictim(0x100)
-	if !c.ProbeRead(0x100, 4) {
+	if !c.ProbeVictim(0x100, 4) {
 		t.Error("victim line not readable")
 	}
-	if c.ProbeRead(0x300, 4) {
+	if c.ProbeVictim(0x300, 4) {
 		t.Error("phantom read hit")
 	}
 	s := c.Stats()
@@ -133,7 +133,7 @@ func TestVictimModeZeroEntries(t *testing.T) {
 	if c.AllocateVictim(0x100) != 0 {
 		t.Error("zero-entry victim allocation evicted")
 	}
-	if c.ProbeRead(0x100, 4) {
+	if c.ProbeVictim(0x100, 4) {
 		t.Error("zero-entry cache hit a read")
 	}
 }
@@ -167,15 +167,6 @@ func TestRunFiltersReads(t *testing.T) {
 	s := c.Stats()
 	if s.Writes != 2 || s.Merged != 1 {
 		t.Errorf("writes=%d merged=%d, want 2/1", s.Writes, s.Merged)
-	}
-}
-
-func TestReset(t *testing.T) {
-	c, _ := New(Config{Entries: 4, LineSize: 8})
-	c.Write(0x100, 8)
-	c.Reset()
-	if c.Resident() != 0 || c.Stats() != (Stats{}) {
-		t.Error("Reset incomplete")
 	}
 }
 
