@@ -30,8 +30,9 @@ lint: require-go
 # under the race detector (including the multi-core coherence tests in
 # internal/coherence), vet and tests of the cmd/perfbench module, the
 # byte-for-byte golden check of every figure and table, a short fuzz
-# smoke over the trace decoders and the journal recovery
-# (FuzzJournalRecover), a single-iteration smoke of the sweep-engine benchmarks, the
+# smoke over the trace decoders, the journal recovery
+# (FuzzJournalRecover) and the coherent system's invariants
+# (FuzzSystemInvariants), a single-iteration smoke of the sweep-engine benchmarks, the
 # performance regression gate against the committed BENCH_sweep.json
 # scaling matrix, the SIGKILL/resume crash-safety smoke, and the
 # simserved chaos smoke (64 racing clients, 3 server SIGKILLs,
@@ -79,6 +80,7 @@ fuzz-smoke: require-go
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 5s
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadBinaryLenient$$' -fuzztime 5s
 	$(GO) test ./internal/resilience -run '^$$' -fuzz '^FuzzJournalRecover$$' -fuzztime 5s
+	$(GO) test ./internal/coherence -run '^$$' -fuzz '^FuzzSystemInvariants$$' -fuzztime 5s
 
 # bench-smoke compiles and runs every sweep benchmark for one
 # iteration — fast enough for the gate, enough to catch bit-rot.

@@ -171,23 +171,6 @@ type Stats struct {
 // payloads: everything the L1 complex moved plus update broadcasts.
 func (s Stats) BusBytes() uint64 { return s.L1ToL2Bytes + s.UpdateTrafficBytes }
 
-// CoreStats is one core's share of the coherence counters (see Stats
-// for field semantics, counted from this core's perspective: Sent
-// counters are broadcasts this core issued, Received counters are
-// actions applied to this core's copies). L1ToL2Transactions/Bytes are
-// this core's L1 back-side traffic, flush write-backs included.
-type CoreStats struct {
-	L1ToL2Transactions    uint64
-	L1ToL2Bytes           uint64
-	InvalidationsSent     uint64
-	InvalidationsReceived uint64
-	UpdatesSent           uint64
-	UpdatesReceived       uint64
-	Interventions         uint64
-	HybridInvalidations   uint64
-	SharingMisses         uint64
-}
-
 // core is one core's private state.
 type core struct {
 	l1 *cache.Cache
@@ -198,7 +181,6 @@ type core struct {
 	// hybrid counts consecutive remote updates per resident line
 	// (Hybrid scheme only); a local reference resets the count.
 	hybrid map[uint32]uint16
-	stats  CoreStats
 }
 
 // System is the N-core simulator. Not safe for concurrent use.
@@ -268,15 +250,6 @@ func (s *System) Stats() Stats {
 	return st
 }
 
-// CoreStats returns core i's coherence counters.
-func (s *System) CoreStats(i int) CoreStats {
-	st := s.cores[i].stats
-	l1 := s.cores[i].l1.Stats()
-	st.L1ToL2Transactions = l1.BacksideTransactions() + l1.FlushWritebacks
-	st.L1ToL2Bytes = l1.BacksideBytes(false) + l1.FlushWritebacks*uint64(s.cfg.L1.LineSize)
-	return st
-}
-
 // AggregateL1 sums every core's L1 counters — the system-wide view of
 // the paper's per-cache statistics.
 func (s *System) AggregateL1() cache.Stats {
@@ -310,7 +283,9 @@ func (s *System) Access(c int, e trace.Event) {
 }
 
 // snoopSpan handles the protocol for the portion of an access within
-// one L1 line: bytes [addr, addr+n).
+// one L1 line: bytes [addr, addr+n). It decides once what the span
+// asks of every remote copy, then applies that in one walk over the
+// remote cores in index order.
 func (s *System) snoopSpan(c int, kind trace.Kind, addr, n uint32) {
 	lineNum := addr >> s.lineShift
 	lineAddr := lineNum << s.lineShift
@@ -320,7 +295,6 @@ func (s *System) snoopSpan(c int, kind trace.Kind, addr, n uint32) {
 	if !local.Present {
 		if _, ok := me.invalidated[lineNum]; ok {
 			delete(me.invalidated, lineNum)
-			me.stats.SharingMisses++
 			s.stats.SharingMisses++
 		}
 	}
@@ -332,25 +306,46 @@ func (s *System) snoopSpan(c int, kind trace.Kind, addr, n uint32) {
 
 	mask := spanMask(addr&(s.lineSize-1), n)
 	covered := local.Present && local.Valid&mask == mask
-
-	if kind == trace.Read {
-		if !covered {
-			// The fetch must observe remote dirty data: downgrade the
-			// owner so the shared level is fresh before the fill.
-			s.downgradeRemotes(c, lineAddr)
-		}
+	read := kind == trace.Read
+	if read && covered {
 		return
 	}
 
-	// Write.
-	switch s.cfg.Scheme {
-	case Invalidate:
-		s.invalidateRemotes(c, lineAddr, lineNum)
-	case Update, Hybrid:
-		if s.writeWillFetch(local, covered, addr, n) {
-			s.downgradeRemotes(c, lineAddr)
+	// A fetch must observe remote dirty data, so a read miss and a
+	// fetching write flush every remote owner to the shared level
+	// first; an invalidating write flushes before it drops the copies.
+	// Updating a copy in the same walk relies on SnoopUpdate never
+	// reaching the back side: the shared level sees only the flushes,
+	// in core order.
+	flush := read || s.cfg.Scheme == Invalidate || s.writeWillFetch(local, covered, addr, n)
+	found := false
+	for j := range s.cores {
+		if j == c {
+			continue
 		}
-		s.updateRemotes(c, addr, n, lineNum, lineAddr)
+		r := &s.cores[j]
+		if flush {
+			s.flush(r, lineAddr)
+		}
+		switch {
+		case read:
+		case s.cfg.Scheme == Invalidate:
+			if lines, _ := r.l1.InvalidateRange(lineAddr, int(s.lineSize)); lines > 0 {
+				found = true
+				s.stats.InvalidationsReceived++
+				r.invalidated[lineNum] = struct{}{}
+			}
+		default:
+			found = s.update(r, addr, n, lineNum, lineAddr) || found
+		}
+	}
+	switch {
+	case !found:
+	case s.cfg.Scheme == Invalidate:
+		s.stats.InvalidationsSent++
+	default:
+		s.stats.UpdatesSent++
+		s.stats.UpdateTrafficBytes += uint64(n)
 	}
 }
 
@@ -379,99 +374,45 @@ func (s *System) writeWillFetch(local cache.LineState, covered bool, addr, n uin
 	return false // write-around / write-invalidate never allocate
 }
 
-// downgradeRemotes flushes every remote dirty copy of the line at
-// lineAddr to the shared level (M→S): the data stays readable remotely
-// but the requesting core's fill now observes the newest bytes.
-func (s *System) downgradeRemotes(c int, lineAddr uint32) {
-	for j := range s.cores {
-		if j == c {
-			continue
-		}
-		if _, dirty := s.cores[j].l1.Downgrade(lineAddr, int(s.lineSize)); dirty > 0 {
-			s.cores[j].stats.Interventions++
-			s.stats.Interventions++
-			s.stats.InterventionDirtyBytes += uint64(dirty)
-		}
+// flush writes remote core r's dirty bytes of the line at lineAddr to
+// the shared level (M→S): the copy stays readable, but the next fill
+// from the shared level observes the newest bytes.
+func (s *System) flush(r *core, lineAddr uint32) {
+	if _, dirty := r.l1.Downgrade(lineAddr, int(s.lineSize)); dirty > 0 {
+		s.stats.Interventions++
+		s.stats.InterventionDirtyBytes += uint64(dirty)
 	}
 }
 
-// invalidateRemotes removes every remote copy of the line (the
-// Invalidate scheme's write broadcast), flushing dirty remote data to
-// the shared level before dropping it.
-func (s *System) invalidateRemotes(c int, lineAddr, lineNum uint32) {
-	hit := false
-	for j := range s.cores {
-		if j == c {
-			continue
-		}
-		r := &s.cores[j]
-		if _, dirty := r.l1.Downgrade(lineAddr, int(s.lineSize)); dirty > 0 {
-			r.stats.Interventions++
-			s.stats.Interventions++
-			s.stats.InterventionDirtyBytes += uint64(dirty)
-		}
-		if lines, _ := r.l1.InvalidateRange(lineAddr, int(s.lineSize)); lines > 0 {
-			hit = true
-			r.stats.InvalidationsReceived++
-			s.stats.InvalidationsReceived++
-			r.invalidated[lineNum] = struct{}{}
-		}
-	}
-	if hit {
-		s.cores[c].stats.InvalidationsSent++
-		s.stats.InvalidationsSent++
-	}
-}
-
-// updateRemotes applies a write-update broadcast of bytes
-// [addr, addr+n) to every remote copy. Under Hybrid, a copy that has
-// absorbed hybridK updates with no local reference self-invalidates
-// instead of taking another.
-func (s *System) updateRemotes(c int, addr, n uint32, lineNum, lineAddr uint32) {
-	hit := false
-	for j := range s.cores {
-		if j == c {
-			continue
-		}
-		r := &s.cores[j]
-		st := r.l1.Probe(lineAddr)
-		if !st.Present {
-			if s.cfg.Scheme == Hybrid {
-				delete(r.hybrid, lineNum)
-			}
-			continue
-		}
+// update applies a write-update broadcast of bytes [addr, addr+n) to
+// remote core r's copy and reports whether r held one. Under Hybrid, a
+// copy that has absorbed hybridK updates with no local reference
+// self-invalidates instead of taking another.
+func (s *System) update(r *core, addr, n, lineNum, lineAddr uint32) bool {
+	if !r.l1.Probe(lineAddr).Present {
 		if s.cfg.Scheme == Hybrid {
-			cnt := r.hybrid[lineNum] + 1
-			if cnt >= s.hybridK {
-				// Competitive threshold reached: stop paying for
-				// updates this core is not reading; flush any dirty
-				// claim and drop the copy.
-				delete(r.hybrid, lineNum)
-				if _, dirty := r.l1.Downgrade(lineAddr, int(s.lineSize)); dirty > 0 {
-					r.stats.Interventions++
-					s.stats.Interventions++
-					s.stats.InterventionDirtyBytes += uint64(dirty)
-				}
-				r.l1.InvalidateRange(lineAddr, int(s.lineSize))
-				r.stats.HybridInvalidations++
-				s.stats.HybridInvalidations++
-				r.invalidated[lineNum] = struct{}{}
-				hit = true // the broadcast still happened
-				continue
-			}
-			r.hybrid[lineNum] = cnt
+			delete(r.hybrid, lineNum)
 		}
-		r.l1.SnoopUpdate(addr, uint8(n))
-		hit = true
-		r.stats.UpdatesReceived++
-		s.stats.UpdatesReceived++
+		return false
 	}
-	if hit {
-		s.cores[c].stats.UpdatesSent++
-		s.stats.UpdatesSent++
-		s.stats.UpdateTrafficBytes += uint64(n)
+	if s.cfg.Scheme == Hybrid {
+		cnt := r.hybrid[lineNum] + 1
+		if cnt >= s.hybridK {
+			// Competitive threshold reached: stop paying for updates
+			// this core is not reading; flush any dirty claim and drop
+			// the copy. The broadcast still happened.
+			delete(r.hybrid, lineNum)
+			s.flush(r, lineAddr)
+			r.l1.InvalidateRange(lineAddr, int(s.lineSize))
+			s.stats.HybridInvalidations++
+			r.invalidated[lineNum] = struct{}{}
+			return true
+		}
+		r.hybrid[lineNum] = cnt
 	}
+	r.l1.SnoopUpdate(addr, uint8(n))
+	s.stats.UpdatesReceived++
+	return true
 }
 
 // Run replays a multi-core workload to completion in trace.Merge

@@ -5,7 +5,6 @@ import (
 
 	"cachewrite/internal/cache"
 	"cachewrite/internal/coherence"
-	"cachewrite/internal/hierarchy"
 	"cachewrite/internal/stats"
 	"cachewrite/internal/trace"
 )
@@ -148,7 +147,7 @@ func extCohTraffic(e *Env) (Result, error) {
 
 // extCohSchemes compares the three coherence schemes at 4 cores (plus
 // a no-coherence baseline: the same trace.Merge reference schedule
-// through one shared single-core hierarchy) under the standard
+// through a 1-core System, i.e. one shared L1) under the standard
 // write-back fetch-on-write policy.
 func extCohSchemes(e *Env) (Result, error) {
 	tbl := &stats.Table{ID: "ext-coh-schemes",
@@ -178,17 +177,17 @@ func extCohSchemes(e *Env) (Result, error) {
 			return Result{}, err
 		}
 		l2 := cohL2()
-		h, err := hierarchy.New(hierarchy.Config{L1: stdConfig(StdCacheSize, StdLineSize), L2: &l2})
+		base, err := coherence.New(coherence.Config{Cores: 1, L1: stdConfig(StdCacheSize, StdLineSize), L2: &l2})
 		if err != nil {
 			return Result{}, err
 		}
-		trace.Merge(w.Offsets, w.PerCore, func(_ int, e trace.Event, _ uint64) { h.Access(e) })
-		h.Flush()
-		ls, hs := h.L1().Stats(), h.Stats()
+		trace.Merge(w.Offsets, w.PerCore, func(_ int, e trace.Event, _ uint64) { base.Access(0, e) })
+		base.Flush()
+		ls, bs := base.L1(0).Stats(), base.Stats()
 		k := float64(ls.Refs()) / 1000
 		tbl.AddRow(t.Name, "shared-L1 (no coherence)",
 			stats.FmtPct(ls.MissRate()), "-", "-", "-",
-			fmt.Sprintf("%.1f", float64(hs.L1ToL2Bytes)/k))
+			fmt.Sprintf("%.1f", float64(bs.L1ToL2Bytes)/k))
 	}
 	return Result{Table: tbl}, nil
 }

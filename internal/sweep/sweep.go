@@ -34,6 +34,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cachewrite/internal/cache"
@@ -234,8 +235,8 @@ type Event struct {
 	Err error
 	// Worker is the scheduler pool index that produced a UnitDone or
 	// UnitRetried event (-1 for events with no owning worker, e.g.
-	// UnitRestored and journal events). Exposed so tests and progress
-	// UIs can observe the trace-affinity/work-stealing behaviour.
+	// UnitRestored and journal events), so tests and progress UIs can
+	// tell which worker ran a unit.
 	Worker int
 }
 
@@ -435,14 +436,8 @@ func RunUnits(ctx context.Context, units []Unit, opt Options, collect func(Unit,
 			cancel()
 		})
 	}
-	// Trace-affinity scheduling: units are partitioned into per-worker
-	// queues grouped by trace (see steal.go), so each streamed trace
-	// stays hot in one worker's cache; workers that drain their own
-	// queue steal from the others instead of idling.
-	var queues *stealQueues
-	if workers > 0 {
-		queues = newStealQueues(pending, workers)
-	}
+	// Workers claim pending units in order through one shared cursor.
+	var cursor atomic.Int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -451,10 +446,11 @@ func RunUnits(ctx context.Context, units []Unit, opt Options, collect func(Unit,
 				if gctx.Err() != nil {
 					return
 				}
-				u, ok := queues.next(w)
-				if !ok {
+				i := int(cursor.Add(1)) - 1
+				if i >= len(pending) {
 					return
 				}
+				u := pending[i]
 				key := u.Key()
 				task := watchdog.Begin(key)
 				var stats []cache.Stats

@@ -2,7 +2,7 @@ package trace
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Merge visits the events of ts in global instruction-time order. Input
@@ -79,24 +79,23 @@ func CompactRegions(t *Trace, blockBits uint) (*Trace, error) {
 	if blockBits < 4 || blockBits > 31 {
 		return nil, fmt.Errorf("trace: compact block bits %d outside [4,31]", blockBits)
 	}
-	seen := make(map[uint32]struct{})
+	// Consecutive events mostly stay in one block, so appending only
+	// on a change keeps the list short before the sort-and-dedup.
+	var blocks []uint32
 	for _, e := range t.Events {
-		seen[e.Addr>>blockBits] = struct{}{}
-		seen[(e.Addr+uint32(e.Size)-1)>>blockBits] = struct{}{}
+		for _, b := range [2]uint32{e.Addr >> blockBits, (e.Addr + uint32(e.Size) - 1) >> blockBits} {
+			if n := len(blocks); n == 0 || blocks[n-1] != b {
+				blocks = append(blocks, b)
+			}
+		}
 	}
-	blocks := make([]uint32, 0, len(seen))
-	for b := range seen {
-		blocks = append(blocks, b)
-	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-	slot := make(map[uint32]uint32, len(blocks))
-	for i, b := range blocks {
-		slot[b] = uint32(i)
-	}
+	slices.Sort(blocks)
+	blocks = slices.Compact(blocks)
 	mask := uint32(1)<<blockBits - 1
 	out := &Trace{Name: t.Name, Events: make([]Event, t.Len())}
 	for i, e := range t.Events {
-		e.Addr = slot[e.Addr>>blockBits]<<blockBits | e.Addr&mask
+		slot, _ := slices.BinarySearch(blocks, e.Addr>>blockBits)
+		e.Addr = uint32(slot)<<blockBits | e.Addr&mask
 		out.Events[i] = e
 	}
 	return out, nil

@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -209,5 +211,79 @@ func TestCompactRegions(t *testing.T) {
 	}
 	if _, err := CompactRegions(tr, 32); err == nil {
 		t.Error("block bits above range accepted")
+	}
+}
+
+// compactRegionsMaps is the two-map CompactRegions that the
+// sort-and-dedup replaced, kept as the reference for
+// TestCompactRegionsMatchesMaps.
+func compactRegionsMaps(t *Trace, blockBits uint) *Trace {
+	seen := make(map[uint32]struct{})
+	for _, e := range t.Events {
+		seen[e.Addr>>blockBits] = struct{}{}
+		seen[(e.Addr+uint32(e.Size)-1)>>blockBits] = struct{}{}
+	}
+	blocks := make([]uint32, 0, len(seen))
+	for b := range seen {
+		blocks = append(blocks, b)
+	}
+	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
+	slot := make(map[uint32]uint32, len(blocks))
+	for i, b := range blocks {
+		slot[b] = uint32(i)
+	}
+	mask := uint32(1)<<blockBits - 1
+	out := &Trace{Name: t.Name, Events: make([]Event, t.Len())}
+	for i, e := range t.Events {
+		e.Addr = slot[e.Addr>>blockBits]<<blockBits | e.Addr&mask
+		out.Events[i] = e
+	}
+	return out
+}
+
+// TestCompactRegionsMatchesMaps: on random sparse traces — random
+// block sizes, events spanning block boundaries, runs of adjacent
+// occupied blocks, a single block, and the empty trace — CompactRegions
+// equals the two-map reference event for event.
+func TestCompactRegionsMatchesMaps(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 300; iter++ {
+		bits := uint(4 + rng.Intn(28))
+		size := uint64(1) << bits
+		// A few sparse blocks, each followed by a random run of
+		// adjacent ones; iteration 0 is the empty trace and every
+		// tenth trace stays in a single block.
+		var blocks []uint64
+		for n := 1 + rng.Intn(6); len(blocks) < n; {
+			b := uint64(rng.Uint32()) >> bits
+			for run := rng.Intn(3); run >= 0 && b<<bits < 1<<32; run-- {
+				blocks = append(blocks, b)
+				b++
+			}
+		}
+		if iter%10 == 1 {
+			blocks = blocks[:1]
+		}
+		tr := &Trace{Name: "sparse"}
+		for i := 0; iter > 0 && i < 1+rng.Intn(200); i++ {
+			b := blocks[rng.Intn(len(blocks))]
+			e := Event{Size: uint8(1 + rng.Intn(8)), Gap: uint16(rng.Intn(4)), Kind: Kind(rng.Intn(2))}
+			off := rng.Uint64() % size
+			if rng.Intn(4) == 0 {
+				// Straddle the boundary into the next block.
+				off = size - 1 - uint64(rng.Intn(int(e.Size)))
+			}
+			if a := b<<bits | off; a+uint64(e.Size) <= 1<<32 {
+				e.Addr = uint32(a)
+				tr.Append(e)
+			}
+		}
+		got, err := CompactRegions(tr, bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := compactRegionsMaps(tr, bits); !reflect.DeepEqual(got, want) {
+			t.Fatalf("iteration %d (%d bits, %d events): sort-and-dedup differs from the map reference", iter, bits, tr.Len())
+		}
 	}
 }
