@@ -143,7 +143,7 @@ func TestRunSweepResume(t *testing.T) {
 	}
 
 	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
-	opt := sweep.Options{Workers: 1, Shard: 1, Checkpoint: ckpt, CheckpointEvery: 1}
+	opt := sweep.Options{Workers: 1, Checkpoint: ckpt}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var discard bytes.Buffer

@@ -89,7 +89,6 @@ type failureManifest struct {
 type session struct {
 	ctx     context.Context
 	env     *experiments.Env
-	stdout  io.Writer
 	stderr  io.Writer
 	scale   int
 	journal *resilience.Journal[resultsState]
@@ -105,24 +104,35 @@ func (s *session) progressf(format string, args ...any) {
 	fmt.Fprintf(s.stderr, "paperfigs: "+format+"\n", args...)
 }
 
-// result returns the experiment's result, from the journal when the
-// id was already computed by an earlier (interrupted) run, computing
-// and journaling it otherwise.
-func (s *session) result(id string) (experiments.Result, bool, error) {
-	if res, ok := s.state.Results[id]; ok {
-		return res, true, nil
-	}
-	res, err := runExperiment(s.env, id)
-	if err != nil {
-		return res, false, err
-	}
-	if s.journal != nil {
-		s.state.Results[id] = res
-		if serr := s.journal.Save(s.state); serr != nil {
-			s.progressf("warning: checkpoint save failed: %v", serr)
+// compute returns experiment id's result, from the journal when an
+// earlier (interrupted) run already computed it, computing and
+// journaling it otherwise. A failure is recorded and returned (the run
+// keeps going); a success is logged as progress item i of n when the
+// run covers several experiments.
+func (s *session) compute(i, n int, id string) (experiments.Result, error) {
+	start := time.Now()
+	res, restored := s.state.Results[id]
+	if !restored {
+		var err error
+		if res, err = runExperiment(s.env, id); err != nil {
+			s.fail(id, err)
+			return res, err
+		}
+		if s.journal != nil {
+			s.state.Results[id] = res
+			if serr := s.journal.Save(s.state); serr != nil {
+				s.progressf("warning: checkpoint save failed: %v", serr)
+			}
 		}
 	}
-	return res, false, nil
+	if n > 1 {
+		note := ""
+		if restored {
+			note = ", from checkpoint"
+		}
+		s.progressf("[%d/%d] %s (%s%s)", i+1, n, id, time.Since(start).Round(time.Millisecond), note)
+	}
+	return res, nil
 }
 
 // fail records one experiment failure; the run keeps going.
@@ -184,62 +194,55 @@ func (s *session) writeReport(path string) error {
 			return err
 		}
 		desc, _ := experiments.Describe(id)
-		start := time.Now()
 		fmt.Fprintf(f, "## %s — %s\n\n", id, desc)
-		res, restored, err := s.result(id)
+		res, err := s.compute(i, len(ids), id)
 		if err != nil {
-			s.fail(id, err)
 			fmt.Fprintf(f, "*Experiment failed: %v*\n\n", err)
 			continue
 		}
-		if res.Chart != nil {
-			fmt.Fprintln(f, textplot.RenderChartMarkdown(res.Chart))
+		if err := render(f, res, "markdown", false); err != nil {
+			return err
 		}
-		if res.Table != nil {
-			fmt.Fprintln(f, textplot.RenderTableMarkdown(res.Table))
-		}
-		note := ""
-		if restored {
-			note = ", from checkpoint"
-		}
-		s.progressf("[%d/%d] %s — %s (%s%s)", i+1, len(ids), id, desc,
-			time.Since(start).Round(time.Millisecond), note)
 	}
 	fmt.Fprintf(f, "## Organization diagrams\n\n")
-	for _, d := range []string{"fig3", "fig4", "fig6", "fig12"} {
+	for _, d := range diagrams {
 		fmt.Fprintf(f, "```\n%s\n```\n\n", experiments.Diagram(d))
 	}
 	return nil
 }
 
-// renderOne writes one experiment's chart/table to stdout in the
-// requested format.
-func (s *session) renderOne(res experiments.Result, format string, plot bool) error {
+// diagrams are the ids of the paper's organization diagrams, which
+// need no simulation.
+var diagrams = []string{"fig3", "fig4", "fig6", "fig12"}
+
+// render writes one experiment's chart/table to w in the requested
+// format.
+func render(w io.Writer, res experiments.Result, format string, plot bool) error {
 	if res.Chart != nil {
 		switch format {
 		case "markdown":
-			fmt.Fprintln(s.stdout, textplot.RenderChartMarkdown(res.Chart))
+			fmt.Fprintln(w, textplot.RenderChartMarkdown(res.Chart))
 		case "csv":
-			if err := textplot.WriteChartCSV(s.stdout, res.Chart); err != nil {
+			if err := textplot.WriteChartCSV(w, res.Chart); err != nil {
 				return err
 			}
 		default:
-			fmt.Fprintln(s.stdout, textplot.RenderChart(res.Chart))
+			fmt.Fprintln(w, textplot.RenderChart(res.Chart))
 		}
 		if plot {
-			fmt.Fprintln(s.stdout, textplot.RenderASCIIPlot(res.Chart, 72, 20))
+			fmt.Fprintln(w, textplot.RenderASCIIPlot(res.Chart, 72, 20))
 		}
 	}
 	if res.Table != nil {
 		switch format {
 		case "markdown":
-			fmt.Fprintln(s.stdout, textplot.RenderTableMarkdown(res.Table))
+			fmt.Fprintln(w, textplot.RenderTableMarkdown(res.Table))
 		case "csv":
-			if err := textplot.WriteTableCSV(s.stdout, res.Table); err != nil {
+			if err := textplot.WriteTableCSV(w, res.Table); err != nil {
 				return err
 			}
 		default:
-			fmt.Fprintln(s.stdout, textplot.RenderTable(res.Table))
+			fmt.Fprintln(w, textplot.RenderTable(res.Table))
 		}
 	}
 	return nil
@@ -278,7 +281,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	s := &session{
 		ctx:    ctx,
-		stdout: stdout,
 		stderr: stderr,
 		scale:  *scale,
 		state:  resultsState{Scale: *scale, GeneratorVersion: workload.GeneratorVersion, Results: map[string]experiments.Result{}},
@@ -289,7 +291,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			desc, _ := experiments.Describe(id)
 			fmt.Fprintf(stdout, "%-8s %s\n", id, desc)
 		}
-		for _, d := range []string{"fig3", "fig4", "fig6", "fig12"} {
+		for _, d := range diagrams {
 			fmt.Fprintf(stdout, "%-8s (diagram)\n", d)
 		}
 		return 0
@@ -302,7 +304,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	case *all:
 		selected = experiments.IDs()
 	case *ids != "":
-		selected = strings.Split(*ids, ",")
+		for _, id := range strings.Split(*ids, ",") {
+			selected = append(selected, strings.TrimSpace(id))
+		}
 	default:
 		fmt.Fprintln(stderr, "paperfigs: need -all, -id, -report or -list")
 		fs.Usage()
@@ -401,7 +405,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	for i, id := range selected {
-		id = strings.TrimSpace(id)
 		if err := ctx.Err(); err != nil {
 			return interrupted(stderr, *checkpoint)
 		}
@@ -410,24 +413,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout)
 			continue
 		}
-		start := time.Now()
-		res, restored, err := s.result(id)
+		res, err := s.compute(i, len(selected), id)
 		if err != nil {
-			s.fail(id, err)
 			continue
 		}
-		if len(selected) > 1 {
-			note := ""
-			if restored {
-				note = ", from checkpoint"
-			}
-			s.progressf("[%d/%d] %s (%s%s)", i+1, len(selected), id, time.Since(start).Round(time.Millisecond), note)
-		}
-		if err := s.renderOne(res, *format, *plot); err != nil {
+		if err := render(stdout, res, *format, *plot); err != nil {
 			fmt.Fprintln(stderr, "paperfigs:", err)
 			return 1
 		}
-		fmt.Fprintln(s.stdout)
+		fmt.Fprintln(stdout)
 	}
 	return s.finish(*failures, *checkpoint)
 }

@@ -257,3 +257,92 @@ func TestRunListNeedsNoSim(t *testing.T) {
 		t.Fatalf("exit %d out:\n%s", code, out)
 	}
 }
+
+// TestRunDiagramsNeedNoEnv: a selection of diagrams alone, however the
+// ids are spaced, renders without building the simulation env.
+func TestRunDiagramsNeedNoEnv(t *testing.T) {
+	prevEnv := newEnv
+	newEnv = func(int, string) (*experiments.Env, error) {
+		t.Error("diagram-only selection built a simulation env")
+		return nil, fmt.Errorf("no env in this test")
+	}
+	t.Cleanup(func() { newEnv = prevEnv })
+
+	code, out, stderr := runCLI(t, "-id", "fig3, fig4 ,fig6,  fig12", "-tracecache", "off", "-failures", "")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+	}
+	for _, id := range diagrams {
+		if !strings.Contains(out, experiments.Diagram(id)) {
+			t.Errorf("diagram %s missing from output:\n%s", id, out)
+		}
+	}
+}
+
+// TestRunReport: -report gives every experiment its "## id — desc"
+// section and ends with the organization diagrams; a failing
+// experiment becomes an inline note and a failures.json entry, and the
+// run exits 1 after writing the whole document.
+func TestRunReport(t *testing.T) {
+	fastEnv(t)
+	prevRun := runExperiment
+	runExperiment = func(env *experiments.Env, id string) (experiments.Result, error) {
+		if id == "fig14" {
+			return experiments.Result{}, fmt.Errorf("injected fault")
+		}
+		return prevRun(env, id)
+	}
+	t.Cleanup(func() { runExperiment = prevRun })
+
+	dir := t.TempDir()
+	report := filepath.Join(dir, "report.md")
+	manifest := filepath.Join(dir, "failures.json")
+	code, out, stderr := runCLI(t, "-report", report, "-tracecache", "off", "-failures", manifest)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1; stderr:\n%s", code, stderr)
+	}
+	if !strings.Contains(out, "report written to "+report) {
+		t.Errorf("stdout %q does not name the report", out)
+	}
+	data, err := os.ReadFile(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(data)
+	ids := experiments.IDs()
+	for _, id := range ids {
+		desc, _ := experiments.Describe(id)
+		head := fmt.Sprintf("## %s — %s\n\n", id, desc)
+		at := strings.Index(doc, head)
+		if at < 0 {
+			t.Errorf("no section for %s", id)
+			continue
+		}
+		body := doc[at+len(head):]
+		if end := strings.Index(body, "\n## "); end >= 0 {
+			body = body[:end]
+		}
+		if id == "fig14" {
+			if want := "*Experiment failed: injected fault*\n"; body != want {
+				t.Errorf("fig14 section = %q, want the failure note %q", body, want)
+			}
+		} else if !strings.Contains(body, "|") {
+			t.Errorf("section %s has no Markdown table:\n%s", id, body)
+		}
+	}
+	if !strings.Contains(doc, "## Organization diagrams\n\n```\n"+experiments.Diagram("fig3")) {
+		t.Error("report lacks the organization diagrams")
+	}
+
+	mdata, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m failureManifest
+	if err := json.Unmarshal(mdata, &m); err != nil {
+		t.Fatalf("manifest is not valid JSON: %v\n%s", err, mdata)
+	}
+	if len(m.Failures) != 1 || m.Failures[0].ID != "fig14" || !strings.Contains(m.Failures[0].Error, "injected fault") {
+		t.Fatalf("manifest %+v, want the one fig14 failure", m)
+	}
+}

@@ -425,8 +425,8 @@ func measure(ctx context.Context, ts []*trace.Trace, cfgs []cache.Config, pools 
 	// once per geometry, kernel per cache); the access loop is the
 	// generic per-event path, kept for comparison.
 	shard := cfgs
-	if len(shard) > sweep.DefaultShard {
-		shard = shard[:sweep.DefaultShard]
+	if len(shard) > sweep.ShardSize {
+		shard = shard[:sweep.ShardSize]
 	}
 	caches := make([]*cache.Cache, len(shard))
 	for i, cfg := range shard {

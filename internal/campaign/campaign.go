@@ -162,17 +162,12 @@ type Config struct {
 	// derives from it deterministically.
 	Seed uint64
 	// TraceEvents is the synthetic trace length per trial (default
-	// 30000).
+	// 30000); 40% of its accesses are stores.
 	TraceEvents int
-	// WritePct is the synthetic trace's store percentage (default 40,
-	// roughly the paper's integer-workload store share).
-	WritePct int
 	// CheckpointPath, when non-empty, persists progress so an
-	// interrupted campaign can resume. Written atomically.
+	// interrupted campaign can resume: it is written atomically after
+	// every 16 completed trials and on cancellation.
 	CheckpointPath string
-	// CheckpointEvery checkpoints after this many completed trials
-	// (default 16 when CheckpointPath is set).
-	CheckpointEvery int
 	// Logf, when non-nil, receives warnings (e.g. a corrupt checkpoint
 	// snapshot that was dropped in favor of the previous good one).
 	Logf func(format string, args ...any)
@@ -199,14 +194,19 @@ func (c Config) Validate() error {
 	if c.Trials <= 0 {
 		return fmt.Errorf("campaign: Trials must be positive")
 	}
-	if c.TraceEvents < 0 || c.WritePct < 0 || c.WritePct > 100 {
-		return fmt.Errorf("campaign: bad trace parameters")
-	}
-	if c.CheckpointEvery < 0 {
-		return fmt.Errorf("campaign: CheckpointEvery must be non-negative")
+	if c.TraceEvents < 0 {
+		return fmt.Errorf("campaign: TraceEvents must be non-negative")
 	}
 	return nil
 }
+
+// writePct is the synthetic traces' store percentage, roughly the
+// paper's integer-workload store share; checkpointEvery is how many
+// completed trials pass between checkpoints.
+const (
+	writePct        = 40
+	checkpointEvery = 16
+)
 
 // ArmResult is one arm's accumulated outcome.
 type ArmResult struct {
@@ -254,7 +254,7 @@ type checkpoint struct {
 	Seed        uint64                   `json:"seed"`
 	Trials      int                      `json:"trials"`
 	TraceEvents int                      `json:"traceEvents"`
-	WritePct    int                      `json:"writePct"`
+	WritePct    int                      `json:"writePct"` // always writePct; kept so existing checkpoints resume
 	ArmNames    []string                 `json:"armNames"`
 	Done        int                      `json:"done"`
 	Reports     []faults.HierarchyReport `json:"reports"`
@@ -263,7 +263,7 @@ type checkpoint struct {
 // matches reports whether the checkpoint belongs to this configuration.
 func (ck *checkpoint) matches(cfg Config) error {
 	if ck.Seed != cfg.Seed || ck.Trials != cfg.Trials ||
-		ck.TraceEvents != cfg.TraceEvents || ck.WritePct != cfg.WritePct {
+		ck.TraceEvents != cfg.TraceEvents || ck.WritePct != writePct {
 		return fmt.Errorf("campaign: checkpoint parameters (seed %d, %d trials) do not match the requested campaign (seed %d, %d trials)",
 			ck.Seed, ck.Trials, cfg.Seed, cfg.Trials)
 	}
@@ -342,19 +342,12 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	if cfg.TraceEvents == 0 {
 		cfg.TraceEvents = 30000
 	}
-	if cfg.WritePct == 0 {
-		cfg.WritePct = 40
-	}
-	ckEvery := cfg.CheckpointEvery
-	if ckEvery == 0 {
-		ckEvery = 16
-	}
 
 	ck := &checkpoint{
 		Seed:        cfg.Seed,
 		Trials:      cfg.Trials,
 		TraceEvents: cfg.TraceEvents,
-		WritePct:    cfg.WritePct,
+		WritePct:    writePct,
 		Reports:     make([]faults.HierarchyReport, len(cfg.Arms)),
 	}
 	for _, a := range cfg.Arms {
@@ -389,7 +382,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		}
 		// One trace per trial, shared by every arm (paired trials).
 		tr, err := synth.HotCold(traceSeed(cfg.Seed, trial), cfg.TraceEvents,
-			64, 16, 1<<20, 80, cfg.WritePct)
+			64, 16, 1<<20, 80, writePct)
 		if err != nil {
 			return result(), fmt.Errorf("campaign: trial %d: %w", trial, err)
 		}
@@ -403,7 +396,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 			ck.Reports[i].Add(rep)
 		}
 		ck.Done = trial + 1
-		if cfg.CheckpointPath != "" && ck.Done%ckEvery == 0 && ck.Done < cfg.Trials {
+		if cfg.CheckpointPath != "" && ck.Done%checkpointEvery == 0 && ck.Done < cfg.Trials {
 			if err := saveCheckpoint(cfg.CheckpointPath, ck); err != nil {
 				return result(), fmt.Errorf("campaign: checkpoint: %w", err)
 			}

@@ -130,7 +130,6 @@ func TestRunCheckpointResume(t *testing.T) {
 	}
 
 	cfg.CheckpointPath = ckpt
-	cfg.CheckpointEvery = 1
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err = Run(ctx, cfg); !errors.Is(err, context.Canceled) {
@@ -178,7 +177,7 @@ func TestRunCheckpointMidway(t *testing.T) {
 		Seed:        cfg.Seed,
 		Trials:      cfg.Trials,
 		TraceEvents: cfg.TraceEvents,
-		WritePct:    40, // Run's default, recorded by its checkpoints
+		WritePct:    writePct,
 		Done:        3,
 	}
 	for _, a := range pres.Arms {
@@ -224,7 +223,7 @@ func TestCheckpointCorruptFallsBack(t *testing.T) {
 			t.Fatal(err)
 		}
 		ck := &checkpoint{Seed: cfg.Seed, Trials: cfg.Trials, TraceEvents: cfg.TraceEvents,
-			WritePct: 40, Done: done}
+			WritePct: writePct, Done: done}
 		for _, a := range pres.Arms {
 			ck.ArmNames = append(ck.ArmNames, a.Name)
 			ck.Reports = append(ck.Reports, a.Report)
@@ -281,7 +280,7 @@ func TestCheckpointMismatch(t *testing.T) {
 	ckpt := filepath.Join(dir, "camp.ckpt")
 	cfg := testConfig(t, 4)
 	ck := checkpoint{Seed: cfg.Seed + 1, Trials: cfg.Trials, TraceEvents: cfg.TraceEvents,
-		WritePct: 40, ArmNames: []string{"wt+parity", "wb+ecc", "wb+parity"}, Done: 1,
+		WritePct: writePct, ArmNames: []string{"wt+parity", "wb+ecc", "wb+parity"}, Done: 1,
 		Reports: make([]faults.HierarchyReport, 3)}
 	if err := saveCheckpoint(ckpt, &ck); err != nil {
 		t.Fatal(err)

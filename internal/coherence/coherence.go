@@ -34,7 +34,6 @@ package coherence
 
 import (
 	"fmt"
-	"math"
 
 	"cachewrite/internal/cache"
 	"cachewrite/internal/hierarchy"
@@ -73,10 +72,10 @@ func (s Scheme) String() string {
 // MarshalText implements encoding.TextMarshaler for JSON output.
 func (s Scheme) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
 
-// DefaultHybridK is the competitive threshold used when Config.HybridK
-// is zero: a copy tolerates this many remote updates with no local
-// reference before self-invalidating.
-const DefaultHybridK = 4
+// HybridK is the Hybrid scheme's competitive threshold: a copy
+// tolerates this many remote updates with no local reference before
+// self-invalidating.
+const HybridK = 4
 
 // MaxCores bounds the system size.
 const MaxCores = 64
@@ -92,9 +91,6 @@ type Config struct {
 	L2 *cache.Config
 	// Scheme selects the coherence protocol.
 	Scheme Scheme
-	// HybridK is the Hybrid scheme's competitive threshold; 0 means
-	// DefaultHybridK. Ignored by the other schemes.
-	HybridK int
 }
 
 // Validate reports whether the configuration is realizable.
@@ -120,9 +116,6 @@ func (c Config) Validate() error {
 	case Invalidate, Update, Hybrid:
 	default:
 		return fmt.Errorf("coherence: unknown scheme %d", uint8(c.Scheme))
-	}
-	if c.HybridK < 0 || c.HybridK > math.MaxUint16 {
-		return fmt.Errorf("coherence: HybridK %d outside [0,%d]", c.HybridK, math.MaxUint16)
 	}
 	return nil
 }
@@ -191,7 +184,6 @@ type System struct {
 	stats     Stats
 	lineSize  uint32
 	lineShift uint
-	hybridK   uint16
 }
 
 // New builds a system for the configuration.
@@ -199,15 +191,10 @@ func New(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	k := cfg.HybridK
-	if k == 0 {
-		k = DefaultHybridK
-	}
 	s := &System{
 		cfg:      cfg,
 		cores:    make([]core, cfg.Cores),
 		lineSize: uint32(cfg.L1.LineSize),
-		hybridK:  uint16(k),
 	}
 	for s.lineSize>>s.lineShift > 1 {
 		s.lineShift++
@@ -386,7 +373,7 @@ func (s *System) flush(r *core, lineAddr uint32) {
 
 // update applies a write-update broadcast of bytes [addr, addr+n) to
 // remote core r's copy and reports whether r held one. Under Hybrid, a
-// copy that has absorbed hybridK updates with no local reference
+// copy that has absorbed HybridK updates with no local reference
 // self-invalidates instead of taking another.
 func (s *System) update(r *core, addr, n, lineNum, lineAddr uint32) bool {
 	if !r.l1.Probe(lineAddr).Present {
@@ -397,7 +384,7 @@ func (s *System) update(r *core, addr, n, lineNum, lineAddr uint32) bool {
 	}
 	if s.cfg.Scheme == Hybrid {
 		cnt := r.hybrid[lineNum] + 1
-		if cnt >= s.hybridK {
+		if cnt >= HybridK {
 			// Competitive threshold reached: stop paying for updates
 			// this core is not reading; flush any dirty claim and drop
 			// the copy. The broadcast still happened.

@@ -3,7 +3,6 @@ package coherence
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"reflect"
 	"testing"
 
@@ -81,8 +80,6 @@ func TestConfigValidate(t *testing.T) {
 		{Cores: MaxCores + 1, L1: good.L1},
 		{Cores: 2, L1: cache.Config{Size: 3}},
 		{Cores: 2, L1: good.L1, Scheme: Scheme(9)},
-		{Cores: 2, L1: good.L1, HybridK: -1},
-		{Cores: 2, L1: good.L1, Scheme: Hybrid, HybridK: math.MaxUint16 + 1}, // would narrow to a threshold of 0
 		{Cores: 2, L1: good.L1, L2: &cache.Config{Size: 512, LineSize: 8, Assoc: 1,
 			WriteHit: cache.WriteBack, WriteMiss: cache.FetchOnWrite}}, // L2 line < L1 line
 	}
@@ -215,37 +212,39 @@ func TestBacksideByteConservation(t *testing.T) {
 
 // TestRecordedStats pins every field of System.Stats() for each
 // write-miss policy × scheme at 2 and 4 cores (write-back L1s, shared
-// L2, HybridK 2, half the granules shared). golden-check covers only
-// Invalidate across the policies and fetch-on-write across the
-// schemes; these recorded values cover the rest of the grid. Each want
-// is fmt.Sprint of Stats: the hierarchy.Stats fields, then the
-// coherence counters, in declaration order.
+// L2, half the granules shared). golden-check covers only Invalidate
+// across the policies and fetch-on-write across the schemes; these
+// recorded values cover the rest of the grid. At 2 cores no copy
+// absorbs HybridK unanswered updates, so hybrid equals update there;
+// the 4-core rows exercise its self-invalidation. Each want is
+// fmt.Sprint of Stats: the hierarchy.Stats fields, then the coherence
+// counters, in declaration order.
 func TestRecordedStats(t *testing.T) {
 	want := map[string]string{
 		"write-validate/invalidate/x2":   "{{7548 120768 5423 347072 2454 157056 56848 0 0 0} 1300 1300 0 0 0 1300 6616 0 1154}",
 		"write-validate/update/x2":       "{{6344 101504 5153 329792 2346 150144 54848 0 0 0} 0 0 1315 1315 6640 90 452 0 0}",
-		"write-validate/hybrid/x2":       "{{6345 101520 5153 329792 2346 150144 54848 0 0 0} 0 0 1315 1300 6640 91 460 15 13}",
+		"write-validate/hybrid/x2":       "{{6344 101504 5153 329792 2346 150144 54848 0 0 0} 0 0 1315 1315 6640 90 452 0 0}",
 		"write-around/invalidate/x2":     "{{7700 63928 5300 339200 2407 154048 23392 0 0 0} 216 216 0 0 0 112 572 0 206}",
 		"write-around/update/x2":         "{{7507 62656 5275 337600 2390 152960 23284 0 0 0} 0 0 285 285 1452 10 48 0 0}",
-		"write-around/hybrid/x2":         "{{7513 62708 5275 337600 2390 152960 23284 0 0 0} 0 0 285 281 1452 12 60 4 3}",
+		"write-around/hybrid/x2":         "{{7507 62656 5275 337600 2390 152960 23284 0 0 0} 0 0 285 285 1452 10 48 0 0}",
 		"write-invalidate/invalidate/x2": "{{7908 63860 5449 348736 2471 158144 21636 0 0 0} 79 79 0 0 0 39 204 0 76}",
 		"write-invalidate/update/x2":     "{{7874 63720 5453 348992 2470 158080 21632 0 0 0} 0 0 86 86 440 11 52 0 0}",
-		"write-invalidate/hybrid/x2":     "{{7876 63732 5453 348992 2470 158080 21632 0 0 0} 0 0 86 84 440 12 60 2 1}",
+		"write-invalidate/hybrid/x2":     "{{7874 63720 5453 348992 2470 158080 21632 0 0 0} 0 0 86 86 440 11 52 0 0}",
 		"fetch-on-write/invalidate/x2":   "{{12862 205792 6728 430592 2690 172160 59040 0 0 0} 1300 1300 0 0 0 1300 6616 0 1154}",
 		"fetch-on-write/update/x2":       "{{12390 198240 6702 428928 2680 171520 58816 0 0 0} 0 0 1315 1315 6640 1061 5384 0 0}",
-		"fetch-on-write/hybrid/x2":       "{{12398 198368 6706 429184 2681 171584 58832 0 0 0} 0 0 1315 1300 6640 1065 5416 15 13}",
+		"fetch-on-write/hybrid/x2":       "{{12390 198240 6702 428928 2680 171520 58816 0 0 0} 0 0 1315 1315 6640 1061 5384 0 0}",
 		"write-validate/invalidate/x4":   "{{15114 241824 14009 896576 6059 387776 107952 0 0 0} 3663 3762 0 0 0 3657 18596 0 3320}",
 		"write-validate/update/x4":       "{{11618 185888 13911 890304 5999 383936 105328 0 0 0} 0 0 3752 7284 18964 169 852 0 0}",
-		"write-validate/hybrid/x4":       "{{11697 187152 13909 890176 5998 383872 105312 0 0 0} 0 0 3734 3762 18880 243 1232 2280 2032}",
+		"write-validate/hybrid/x4":       "{{11620 185920 13911 890304 5999 383936 105328 0 0 0} 0 0 3752 7196 18964 171 868 52 47}",
 		"write-around/invalidate/x4":     "{{15407 126832 14246 911744 6180 395520 42784 0 0 0} 279 481 0 0 0 135 692 0 466}",
 		"write-around/update/x4":         "{{14932 124000 14242 911488 6173 395072 42724 0 0 0} 0 0 626 1715 3208 44 212 0 0}",
-		"write-around/hybrid/x4":         "{{15221 125008 14253 912192 6183 395712 42184 0 0 0} 0 0 477 582 2440 54 272 425 409}",
+		"write-around/hybrid/x4":         "{{14951 124076 14245 911680 6174 395136 42704 0 0 0} 0 0 624 1665 3200 44 212 14 12}",
 		"write-invalidate/invalidate/x4": "{{15818 127360 14770 945280 6402 409728 39988 0 0 0} 150 219 0 0 0 60 308 0 211}",
 		"write-invalidate/update/x4":     "{{15728 127120 14777 945728 6404 409856 40064 0 0 0} 0 0 241 524 1248 43 204 0 0}",
-		"write-invalidate/hybrid/x4":     "{{15774 127028 14771 945344 6402 409728 39892 0 0 0} 0 0 211 247 1088 45 220 144 141}",
+		"write-invalidate/hybrid/x4":     "{{15732 127124 14777 945728 6404 409856 40052 0 0 0} 0 0 240 514 1240 43 204 4 4}",
 		"fetch-on-write/invalidate/x4":   "{{25802 412832 18497 1183808 6304 403456 110976 0 0 0} 3663 3762 0 0 0 3657 18596 0 3320}",
 		"fetch-on-write/update/x4":       "{{24786 396576 18479 1182656 6296 402944 110816 0 0 0} 0 0 3752 7284 18964 3213 16312 0 0}",
-		"fetch-on-write/hybrid/x4":       "{{25650 410400 18490 1183360 6301 403264 110944 0 0 0} 0 0 3734 3762 18880 3609 18348 2280 2032}",
+		"fetch-on-write/hybrid/x4":       "{{24822 397152 18484 1182976 6298 403072 110864 0 0 0} 0 0 3752 7196 18964 3231 16420 52 47}",
 	}
 	base := synthTrace(4000, 23, 1<<13)
 	for _, cores := range []int{2, 4} {
@@ -255,8 +254,7 @@ func TestRecordedStats(t *testing.T) {
 		}
 		for _, miss := range cache.WriteMissPolicies() {
 			for _, scheme := range Schemes() {
-				sys := mustSystem(t, Config{Cores: cores, L1: l1cfg(cache.WriteBack, miss), L2: l2cfg(),
-					Scheme: scheme, HybridK: 2})
+				sys := mustSystem(t, Config{Cores: cores, L1: l1cfg(cache.WriteBack, miss), L2: l2cfg(), Scheme: scheme})
 				if err := sys.Run(w); err != nil {
 					t.Fatal(err)
 				}
@@ -282,7 +280,7 @@ func TestSingleWriterInvariant(t *testing.T) {
 	}
 	for _, l1 := range hitMissCombos() {
 		for _, scheme := range Schemes() {
-			sys := mustSystem(t, Config{Cores: cores, L1: l1, Scheme: scheme, HybridK: 2, L2: l2cfg()})
+			sys := mustSystem(t, Config{Cores: cores, L1: l1, Scheme: scheme, L2: l2cfg()})
 			name := l1.String() + "/" + scheme.String()
 			for i := 0; i < 1500; i++ {
 				for c := 0; c < cores; c++ {
@@ -374,21 +372,25 @@ func TestUpdateSemantics(t *testing.T) {
 // the countdown.
 func TestHybridSemantics(t *testing.T) {
 	sys := mustSystem(t, Config{Cores: 2,
-		L1: l1cfg(cache.WriteBack, cache.FetchOnWrite), L2: l2cfg(), Scheme: Hybrid, HybridK: 2})
+		L1: l1cfg(cache.WriteBack, cache.FetchOnWrite), L2: l2cfg(), Scheme: Hybrid})
 	wr := trace.Event{Addr: 0x300, Size: 4, Kind: trace.Write}
 	rd := trace.Event{Addr: 0x300, Size: 4, Kind: trace.Read}
 
 	sys.Access(1, rd) // core 1 caches the line
-	sys.Access(0, wr) // update 1: tolerated
-	if !sys.L1(1).Probe(0x300).Present {
-		t.Fatal("copy dropped before the competitive threshold")
+	for i := 1; i < HybridK; i++ {
+		sys.Access(0, wr) // updates 1..HybridK-1: tolerated
+		if !sys.L1(1).Probe(0x300).Present {
+			t.Fatalf("copy dropped at update %d, before the competitive threshold", i)
+		}
 	}
 	sys.Access(1, rd) // local touch resets the countdown
-	sys.Access(0, wr) // update 1 again
-	if !sys.L1(1).Probe(0x300).Present {
-		t.Fatal("local touch did not reset the update countdown")
+	for i := 1; i < HybridK; i++ {
+		sys.Access(0, wr) // updates 1..HybridK-1 again
+		if !sys.L1(1).Probe(0x300).Present {
+			t.Fatalf("local touch did not reset the update countdown (dropped at update %d)", i)
+		}
 	}
-	sys.Access(0, wr) // update 2: threshold reached, self-invalidate
+	sys.Access(0, wr) // update HybridK: threshold reached, self-invalidate
 	if sys.L1(1).Probe(0x300).Present {
 		t.Fatal("copy survived past the competitive threshold")
 	}
@@ -396,8 +398,8 @@ func TestHybridSemantics(t *testing.T) {
 	if st.HybridInvalidations != 1 {
 		t.Fatalf("hybrid invalidations = %d, want 1", st.HybridInvalidations)
 	}
-	if st.UpdatesReceived != 2 {
-		t.Fatalf("updates received = %d, want 2 (the tolerated ones)", st.UpdatesReceived)
+	if want := uint64(2 * (HybridK - 1)); st.UpdatesReceived != want {
+		t.Fatalf("updates received = %d, want %d (the tolerated ones)", st.UpdatesReceived, want)
 	}
 	sys.Access(1, rd)
 	if sys.Stats().SharingMisses != 1 {
@@ -467,7 +469,7 @@ func TestSchemeTrafficTradeoff(t *testing.T) {
 	results := map[Scheme]Stats{}
 	for _, scheme := range Schemes() {
 		sys := mustSystem(t, Config{Cores: 2,
-			L1: l1cfg(cache.WriteBack, cache.FetchOnWrite), L2: l2cfg(), Scheme: scheme, HybridK: 4})
+			L1: l1cfg(cache.WriteBack, cache.FetchOnWrite), L2: l2cfg(), Scheme: scheme})
 		// Core 1 reads the line once, then core 0 streams writes to it
 		// while core 1 periodically re-reads.
 		sys.Access(1, trace.Event{Addr: 0x40, Size: 4, Kind: trace.Read})

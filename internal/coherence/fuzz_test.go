@@ -15,9 +15,9 @@ import (
 // exact statistics of the single-core hierarchy.
 //
 // Layout: byte 0 picks cores (1–4), scheme, L2 on/off and the write-hit
-// policy; byte 1 the write-miss policy, HybridK and the shared
-// fraction; byte 2 the stagger; then 4 bytes per event (12-bit address,
-// size 1–8, kind, gap).
+// policy; byte 1 the write-miss policy and the shared fraction; byte
+// 2 the stagger; then 4 bytes per event (12-bit address, size 1–8,
+// kind, gap).
 func FuzzSystemInvariants(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0, 0x00, 0x01, 0x0c, 0, 0x00, 0x01, 0x04, 0})
 	f.Add([]byte{0x03, 0x8f, 7, 0x10, 0x00, 0x0b, 1, 0x10, 0x00, 0x03, 2, 0x1c, 0x00, 0x0f, 0})
@@ -39,7 +39,7 @@ func FuzzSystemInvariants(f *testing.F) {
 			hit = cache.WriteBack
 		}
 		l1 := l1cfg(hit, cache.WriteMissPolicies()[m&3])
-		cfg := Config{Cores: cores, L1: l1, L2: l2, Scheme: Scheme(h >> 2 & 3 % 3), HybridK: int(m >> 2 & 3)}
+		cfg := Config{Cores: cores, L1: l1, L2: l2, Scheme: Scheme(h >> 2 & 3 % 3)}
 		base := &trace.Trace{Name: "fuzz"}
 		for b := data[3:]; len(b) >= 4 && base.Len() < 256; b = b[4:] {
 			kind := trace.Read

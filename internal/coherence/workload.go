@@ -20,12 +20,13 @@ import (
 // the choice is stable across line sizes up to the cache maximum.
 const SharedGranule = 64
 
-// DefaultStride is the default private-window spacing. The paper
-// workloads place their footprints near 0x10000000 (heap) and
-// 0x7fffffff (stack); 128MB steps keep up to MaxCores per-core images
-// of both regions disjoint within the 32-bit space, and BuildWorkload
-// verifies disjointness exactly rather than trusting the layout.
-const DefaultStride = 1 << 27
+// Stride is the private-window spacing: core i's private
+// addresses are base+i*Stride. The paper workloads place their
+// footprints near 0x10000000 (heap) and 0x7fffffff (stack); 128MB
+// steps keep up to MaxCores per-core images of both regions disjoint
+// within the 32-bit space, and BuildWorkload verifies disjointness
+// exactly rather than trusting the layout.
+const Stride = 1 << 27
 
 // WorkloadConfig describes how to turn one benchmark trace into an
 // N-core workload.
@@ -37,10 +38,6 @@ type WorkloadConfig struct {
 	// hash); the rest of each core's references land in its private
 	// window.
 	SharedFraction float64
-	// Stride is the private-window spacing in bytes (core i's private
-	// addresses are base+i*Stride); 0 means DefaultStride. Must be a
-	// power of two ≥ SharedGranule.
-	Stride uint32
 	// Stagger offsets core i's start by i*Stagger instructions,
 	// breaking lockstep between the replicated streams.
 	Stagger uint64
@@ -61,20 +58,13 @@ type Workload struct {
 // BuildWorkload constructs the N-core workload. It fails if any
 // rebased access leaves the 32-bit address space or if two cores'
 // private footprints (or a private and the shared footprint) collide
-// at SharedGranule granularity — raise Stride if they do.
+// at SharedGranule granularity.
 func BuildWorkload(base *trace.Trace, cfg WorkloadConfig) (*Workload, error) {
 	if cfg.Cores < 1 || cfg.Cores > MaxCores {
 		return nil, fmt.Errorf("coherence: %d cores outside [1,%d]", cfg.Cores, MaxCores)
 	}
 	if cfg.SharedFraction < 0 || cfg.SharedFraction > 1 {
 		return nil, fmt.Errorf("coherence: shared fraction %v outside [0,1]", cfg.SharedFraction)
-	}
-	stride := cfg.Stride
-	if stride == 0 {
-		stride = DefaultStride
-	}
-	if stride < SharedGranule || stride&(stride-1) != 0 {
-		return nil, fmt.Errorf("coherence: stride %d must be a power of two >= %d", stride, SharedGranule)
 	}
 	t := base
 	if cfg.MaxEventsPerCore > 0 && base.Len() > cfg.MaxEventsPerCore {
@@ -95,7 +85,7 @@ func BuildWorkload(base *trace.Trace, cfg WorkloadConfig) (*Workload, error) {
 		if prev, ok := owner[g]; ok {
 			if prev != who {
 				return fmt.Errorf("coherence: address windows collide at granule %#x (stride %d too small for this footprint)",
-					uint64(g)*SharedGranule, stride)
+					uint64(g)*SharedGranule, Stride)
 			}
 			return nil
 		}
@@ -103,7 +93,7 @@ func BuildWorkload(base *trace.Trace, cfg WorkloadConfig) (*Workload, error) {
 		return nil
 	}
 	for c := 0; c < cfg.Cores; c++ {
-		img, err := trace.Rebase(t, int64(stride)*int64(c))
+		img, err := trace.Rebase(t, int64(Stride)*int64(c))
 		if err != nil {
 			return nil, fmt.Errorf("coherence: core %d window: %w", c, err)
 		}

@@ -9,7 +9,7 @@ import (
 
 func TestBuildWorkloadPrivateWindows(t *testing.T) {
 	base := synthTrace(500, 11, 1<<12)
-	w, err := BuildWorkload(base, WorkloadConfig{Cores: 2, SharedFraction: 0, Stride: 1 << 20})
+	w, err := BuildWorkload(base, WorkloadConfig{Cores: 2, SharedFraction: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +20,7 @@ func TestBuildWorkloadPrivateWindows(t *testing.T) {
 		if e.Addr != base.Events[i].Addr {
 			t.Fatalf("core 0 not identity-mapped at event %d: %#x vs %#x", i, e.Addr, base.Events[i].Addr)
 		}
-		if got := w.PerCore[1].Events[i].Addr; got != base.Events[i].Addr+1<<20 {
+		if got := w.PerCore[1].Events[i].Addr; got != base.Events[i].Addr+Stride {
 			t.Fatalf("core 1 window wrong at event %d: %#x", i, got)
 		}
 	}
@@ -43,7 +43,7 @@ func TestBuildWorkloadSharedFraction(t *testing.T) {
 	}
 	// Fraction 0.5: some granules shared, some private, decided
 	// identically for every core.
-	w, err = BuildWorkload(base, WorkloadConfig{Cores: 2, SharedFraction: 0.5, Stride: 1 << 20})
+	w, err = BuildWorkload(base, WorkloadConfig{Cores: 2, SharedFraction: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestBuildWorkloadSharedFraction(t *testing.T) {
 	for i, e := range w.PerCore[1].Events {
 		if e.Addr == base.Events[i].Addr {
 			shared++
-		} else if e.Addr == base.Events[i].Addr+1<<20 {
+		} else if e.Addr == base.Events[i].Addr+Stride {
 			private++
 		} else {
 			t.Fatalf("event %d mapped to neither window: %#x", i, e.Addr)
@@ -87,9 +87,9 @@ func TestBuildWorkloadCollisionDetected(t *testing.T) {
 	// private window would alias core 0's.
 	base := &trace.Trace{Name: "wide", Events: []trace.Event{
 		{Addr: 0x00, Size: 4, Kind: trace.Write},
-		{Addr: 0x40, Size: 4, Kind: trace.Write},
+		{Addr: Stride, Size: 4, Kind: trace.Write},
 	}}
-	if _, err := BuildWorkload(base, WorkloadConfig{Cores: 2, SharedFraction: 0, Stride: 64}); err == nil {
+	if _, err := BuildWorkload(base, WorkloadConfig{Cores: 2, SharedFraction: 0}); err == nil {
 		t.Fatal("window collision not detected")
 	}
 }
@@ -101,8 +101,6 @@ func TestBuildWorkloadValidation(t *testing.T) {
 		{Cores: MaxCores + 1},
 		{Cores: 2, SharedFraction: -0.1},
 		{Cores: 2, SharedFraction: 1.1},
-		{Cores: 2, Stride: 48}, // not a power of two
-		{Cores: 2, Stride: 32}, // below the sharing granule
 	}
 	for i, cfg := range bad {
 		if _, err := BuildWorkload(base, cfg); err == nil {

@@ -182,12 +182,11 @@ func TestInjectHierarchyScrub(t *testing.T) {
 }
 
 // TestInjectHierarchyXactRetry checks transient back-side transaction
-// faults are injected, retried, and fully accounted.
+// faults are injected, retried, and fully accounted. Every transaction
+// faults, so the 0.1% of faults that exhaust three retries at 90% show.
 func TestInjectHierarchyXactRetry(t *testing.T) {
 	cfg := wbConfig(WordSECECC)
-	cfg.XactFaultEvery = 100
-	cfg.RetryLimit = 2
-	cfg.RetrySuccessPct = 50
+	cfg.XactFaultEvery = 1
 	rep, err := InjectHierarchy(cfg, testTrace(t))
 	if err != nil {
 		t.Fatal(err)
@@ -199,11 +198,11 @@ func TestInjectHierarchyXactRetry(t *testing.T) {
 	if x.Corrected+x.DUE != x.Faults {
 		t.Errorf("xact outcomes %d+%d != faults %d", x.Corrected, x.DUE, x.Faults)
 	}
-	if x.Retries < x.Faults {
-		t.Errorf("every fault should retry at least once: %d retries, %d faults", x.Retries, x.Faults)
+	if x.Retries < x.Faults || x.Retries > xactRetryLimit*x.Faults {
+		t.Errorf("every fault should retry 1..%d times: %d retries, %d faults", xactRetryLimit, x.Retries, x.Faults)
 	}
 	if x.DUE == 0 {
-		t.Errorf("retry limit 2 at 50%% should exhaust sometimes: %+v", x)
+		t.Errorf("retry limit %d at %d%% should exhaust sometimes: %+v", xactRetryLimit, xactRetrySuccessPct, x)
 	}
 }
 

@@ -13,7 +13,7 @@ func TestRetryZeroAttemptsMeansOneTry(t *testing.T) {
 	for _, attempts := range []int{0, -3} {
 		calls, retries := 0, 0
 		boom := errors.New("boom")
-		err := Retry(context.Background(), "u", RetryConfig{Attempts: attempts},
+		err := Retry(context.Background(), "u", attempts,
 			func() error { calls++; return boom },
 			func(int, error) { retries++ })
 		if calls != 1 {
@@ -31,33 +31,42 @@ func TestRetryZeroAttemptsMeansOneTry(t *testing.T) {
 
 // TestRetryZeroAttemptsSuccess: the single try succeeding returns nil.
 func TestRetryZeroAttemptsSuccess(t *testing.T) {
-	if err := Retry(context.Background(), "u", RetryConfig{}, func() error { return nil }, nil); err != nil {
+	if err := Retry(context.Background(), "u", 0, func() error { return nil }, nil); err != nil {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 // TestRetryCancelledMidBackoff: cancellation arriving while Retry
 // sleeps between attempts must interrupt the sleep promptly and return
-// the context's error — not sit out the full (long) backoff.
+// the context's error — not sit out the backoff. The cancel lands 20 ms
+// into the wait after attempt 7, which lasts retryBackoff·2^6 = 640 ms,
+// so a sleep that ignored ctx could not return within the bound.
 func TestRetryCancelledMidBackoff(t *testing.T) {
+	const cancelAfter = 7
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cancelled := make(chan time.Time, 1)
 	calls := 0
-	start := time.Now()
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	err := Retry(ctx, "u", RetryConfig{Attempts: 3, Backoff: time.Hour},
-		func() error { calls++; return errors.New("transient") }, nil)
-	elapsed := time.Since(start)
+	err := Retry(ctx, "u", 40,
+		func() error { calls++; return errors.New("transient") },
+		func(attempt int, _ error) {
+			if attempt == cancelAfter {
+				go func() {
+					time.Sleep(20 * time.Millisecond)
+					cancelled <- time.Now()
+					cancel()
+				}()
+			}
+		})
+	returned := time.Now()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if calls != 1 {
-		t.Fatalf("unit ran %d times; the second attempt must never start after cancellation", calls)
+	if calls != cancelAfter {
+		t.Fatalf("unit ran %d times; no attempt may start after the one whose backoff was cancelled (%d)", calls, cancelAfter)
 	}
-	if elapsed > 10*time.Second {
-		t.Fatalf("Retry returned after %s; cancellation must interrupt the backoff sleep", elapsed)
+	if wait := returned.Sub(<-cancelled); wait > 200*time.Millisecond {
+		t.Fatalf("Retry returned %s after cancellation; it must interrupt the %s backoff sleep", wait, retryBackoff<<(cancelAfter-1))
 	}
 }
 
@@ -67,7 +76,7 @@ func TestRetryCancelledMidBackoff(t *testing.T) {
 func TestRetryDeadlineErrorNotRetried(t *testing.T) {
 	calls := 0
 	wrapped := errors.Join(errors.New("sweep aborted"), context.DeadlineExceeded)
-	err := Retry(context.Background(), "u", RetryConfig{Attempts: 5, Backoff: time.Millisecond},
+	err := Retry(context.Background(), "u", 5,
 		func() error { calls++; return wrapped }, nil)
 	if calls != 1 {
 		t.Fatalf("deadline-failed unit was tried %d times, want 1", calls)
@@ -86,7 +95,7 @@ func TestRetryDeadlineErrorNotRetried(t *testing.T) {
 func TestRetryUnitErrorUnwrapping(t *testing.T) {
 	sentinel := errors.New("disk on fire")
 	wrapped := errors.Join(errors.New("unit 3 failed"), sentinel)
-	err := Retry(context.Background(), "grr/cfgs[8:16]", RetryConfig{Attempts: 2, Backoff: time.Millisecond},
+	err := Retry(context.Background(), "grr/cfgs[8:16]", 2,
 		func() error { return wrapped }, nil)
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("errors.Is cannot reach the sentinel through %v", err)
@@ -113,7 +122,7 @@ func TestRetryOnRetryNumbering(t *testing.T) {
 	var attempts []int
 	var errs []string
 	calls := 0
-	err := Retry(context.Background(), "u", RetryConfig{Attempts: 4, Backoff: time.Microsecond},
+	err := Retry(context.Background(), "u", 4,
 		func() error { calls++; return errors.New("boom " + string(rune('0'+calls))) },
 		func(attempt int, err error) {
 			attempts = append(attempts, attempt)
@@ -133,12 +142,12 @@ func TestRetryOnRetryNumbering(t *testing.T) {
 }
 
 // TestRetryBackoffDoubles: each sleep doubles, so the total wait for
-// n retries is bounded by 2^n * Backoff — verified coarsely so the
+// n retries is bounded by 2^n * retryBackoff — verified coarsely so the
 // test stays robust on slow machines (lower bound only).
 func TestRetryBackoffDoubles(t *testing.T) {
-	const base = 10 * time.Millisecond
+	const base = retryBackoff
 	start := time.Now()
-	_ = Retry(context.Background(), "u", RetryConfig{Attempts: 3, Backoff: base},
+	_ = Retry(context.Background(), "u", 3,
 		func() error { return errors.New("transient") }, nil)
 	// Sleeps: base + 2*base = 30ms minimum.
 	if elapsed := time.Since(start); elapsed < 3*base {

@@ -42,9 +42,6 @@ type WatchdogConfig struct {
 	// before it is reported stalled. Zero disables the watchdog
 	// entirely (Begin returns tasks, but nothing monitors them).
 	SoftDeadline time.Duration
-	// Poll is the monitor wake-up interval (default SoftDeadline/4,
-	// minimum 10ms).
-	Poll time.Duration
 	// OnStall, when non-nil, is called (from the monitor goroutine)
 	// once per stall episode: when a task first exceeds the deadline,
 	// and again only after it has resumed and stalled anew.
@@ -72,12 +69,6 @@ func NewWatchdog(cfg WatchdogConfig) *Watchdog {
 	w := &Watchdog{cfg: cfg, active: make(map[*Task]struct{})}
 	if cfg.SoftDeadline <= 0 {
 		return w
-	}
-	if w.cfg.Poll <= 0 {
-		w.cfg.Poll = cfg.SoftDeadline / 4
-	}
-	if w.cfg.Poll < 10*time.Millisecond {
-		w.cfg.Poll = 10 * time.Millisecond
 	}
 	w.stop = make(chan struct{})
 	w.done = make(chan struct{})
@@ -115,13 +106,14 @@ func (w *Watchdog) Stop() {
 	<-w.done
 }
 
-// monitor compares each active task's beat counter against its value
-// at the previous poll: a counter that has not advanced for longer
-// than the soft deadline is a stall. Comparing counters in the monitor
-// keeps time.Now out of the workers' beat path.
+// monitor wakes every SoftDeadline/4, but no more often than every
+// 10ms, and compares each active task's beat counter against its value
+// at the previous poll: a counter that has not advanced for longer than
+// the soft deadline is a stall. Comparing counters in the monitor keeps
+// time.Now out of the workers' beat path.
 func (w *Watchdog) monitor() {
 	defer close(w.done)
-	ticker := time.NewTicker(w.cfg.Poll)
+	ticker := time.NewTicker(max(w.cfg.SoftDeadline/4, 10*time.Millisecond))
 	defer ticker.Stop()
 	for {
 		select {
@@ -155,15 +147,9 @@ func (w *Watchdog) monitor() {
 	}
 }
 
-// RetryConfig bounds re-execution of a failed unit of work.
-type RetryConfig struct {
-	// Attempts is the total number of tries (default 1, i.e. no
-	// retries).
-	Attempts int
-	// Backoff is the wait before the first retry, doubling on each
-	// subsequent one (default 10ms). The wait honors ctx.
-	Backoff time.Duration
-}
+// retryBackoff is the wait before a unit's first retry; it doubles on
+// each subsequent one.
+const retryBackoff = 10 * time.Millisecond
 
 // UnitError reports a unit of work that still failed after its retry
 // budget was exhausted. It unwraps to the final attempt's error.
@@ -185,21 +171,15 @@ func (e *UnitError) Error() string {
 
 func (e *UnitError) Unwrap() error { return e.Err }
 
-// Retry runs f up to cfg.Attempts times, sleeping an exponentially
-// growing backoff between tries, and wraps the final failure in a
-// *UnitError. Context cancellation — of ctx itself, or an f error that
-// is a context error — stops retrying immediately: cancellation is a
-// decision, not a transient fault. onRetry (may be nil) is told about
-// each failed attempt that will be retried.
-func Retry(ctx context.Context, unit string, cfg RetryConfig, f func() error, onRetry func(attempt int, err error)) error {
-	attempts := cfg.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	backoff := cfg.Backoff
-	if backoff <= 0 {
-		backoff = 10 * time.Millisecond
-	}
+// Retry runs f up to attempts times (at least once), sleeping an
+// exponentially growing backoff between tries, and wraps the final
+// failure in a *UnitError. Context cancellation — of ctx itself, or an
+// f error that is a context error — stops retrying immediately:
+// cancellation is a decision, not a transient fault. onRetry (may be
+// nil) is told about each failed attempt that will be retried.
+func Retry(ctx context.Context, unit string, attempts int, f func() error, onRetry func(attempt int, err error)) error {
+	attempts = max(attempts, 1)
+	backoff := retryBackoff
 	var err error
 	for attempt := 1; attempt <= attempts; attempt++ {
 		if err = f(); err == nil {

@@ -13,7 +13,6 @@ func TestWatchdogDetectsStall(t *testing.T) {
 	var stalls []Stall
 	w := NewWatchdog(WatchdogConfig{
 		SoftDeadline: 50 * time.Millisecond,
-		Poll:         10 * time.Millisecond,
 		OnStall: func(s Stall) {
 			mu.Lock()
 			stalls = append(stalls, s)
@@ -39,7 +38,7 @@ func TestWatchdogDetectsStall(t *testing.T) {
 }
 
 func TestWatchdogBeatingTaskNeverStalls(t *testing.T) {
-	w := NewWatchdog(WatchdogConfig{SoftDeadline: 40 * time.Millisecond, Poll: 10 * time.Millisecond})
+	w := NewWatchdog(WatchdogConfig{SoftDeadline: 40 * time.Millisecond})
 	defer w.Stop()
 	task := w.Begin("busy-unit")
 	stop := time.After(200 * time.Millisecond)
@@ -61,7 +60,7 @@ func TestWatchdogBeatingTaskNeverStalls(t *testing.T) {
 // TestWatchdogStallEpisodes: a task that stalls, resumes, and stalls
 // again is two episodes, not a report per poll.
 func TestWatchdogStallEpisodes(t *testing.T) {
-	w := NewWatchdog(WatchdogConfig{SoftDeadline: 30 * time.Millisecond, Poll: 10 * time.Millisecond})
+	w := NewWatchdog(WatchdogConfig{SoftDeadline: 30 * time.Millisecond})
 	defer w.Stop()
 	task := w.Begin("bursty-unit")
 	defer w.End(task)
@@ -102,7 +101,7 @@ func TestWatchdogInertWhenDisabled(t *testing.T) {
 func TestRetrySucceedsWithinBudget(t *testing.T) {
 	calls := 0
 	var retries []int
-	err := Retry(context.Background(), "u", RetryConfig{Attempts: 3, Backoff: time.Millisecond},
+	err := Retry(context.Background(), "u", 3,
 		func() error {
 			calls++
 			if calls < 3 {
@@ -121,7 +120,7 @@ func TestRetrySucceedsWithinBudget(t *testing.T) {
 
 func TestRetryExhaustionIsStructured(t *testing.T) {
 	boom := errors.New("boom")
-	err := Retry(context.Background(), "ccom/cfgs[0:8]", RetryConfig{Attempts: 2, Backoff: time.Millisecond},
+	err := Retry(context.Background(), "ccom/cfgs[0:8]", 2,
 		func() error { return boom }, nil)
 	var ue *UnitError
 	if !errors.As(err, &ue) {
@@ -136,7 +135,7 @@ func TestRetryExhaustionIsStructured(t *testing.T) {
 // a decision, not a transient fault.
 func TestRetryStopsOnCancellation(t *testing.T) {
 	calls := 0
-	err := Retry(context.Background(), "u", RetryConfig{Attempts: 5, Backoff: time.Millisecond},
+	err := Retry(context.Background(), "u", 5,
 		func() error { calls++; return context.Canceled }, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
@@ -148,7 +147,7 @@ func TestRetryStopsOnCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	calls = 0
-	err = Retry(ctx, "u", RetryConfig{Attempts: 5, Backoff: time.Minute},
+	err = Retry(ctx, "u", 5,
 		func() error { calls++; return errors.New("transient") }, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want ctx error from backoff wait", err)

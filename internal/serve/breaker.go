@@ -4,11 +4,19 @@ import (
 	"time"
 )
 
+// breakerThreshold is how many consecutive storage-fault jobs open a
+// tenant's breaker; breakerCooldown is how long it then sheds the
+// tenant's submits, measured on the injected Now clock.
+const (
+	breakerThreshold = 3
+	breakerCooldown  = 30 * time.Second
+)
+
 // tenantBreaker is the per-tenant storage-fault circuit breaker. When a
 // tenant's jobs keep failing on storage faults (a broken state volume,
 // a full disk the degrade paths could not absorb), re-admitting more of
 // that tenant's jobs just burns workers on a disk that cannot serve
-// them. After BreakerThreshold consecutive storage-fault jobs the
+// them. After breakerThreshold consecutive storage-fault jobs the
 // breaker opens: the tenant's submits are shed with 503 and an honest
 // Retry-After equal to the remaining cooldown. One probe job is
 // admitted after the cooldown; a clean job closes the breaker, another
@@ -55,10 +63,10 @@ func (s *Server) recordJobStorageOutcomeLocked(tenant string, storageFault bool)
 		s.breakers[tenant] = b
 	}
 	b.consecutive++
-	if b.consecutive >= s.cfg.BreakerThreshold {
-		b.openUntil = s.now().Add(s.cfg.BreakerCooldown)
+	if b.consecutive >= breakerThreshold {
+		b.openUntil = s.now().Add(breakerCooldown)
 		s.metrics.BreakerOpens++
 		s.logf("tenant %s: circuit breaker open for %s after %d consecutive storage-fault job(s)",
-			tenant, s.cfg.BreakerCooldown, b.consecutive)
+			tenant, breakerCooldown, b.consecutive)
 	}
 }

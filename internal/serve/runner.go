@@ -193,6 +193,10 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 	s.removeCkpts(j)
 }
 
+// stallWarn is the per-unit soft deadline of each job's sweep
+// watchdog; stalls are surfaced in statusz counters.
+const stallWarn = 30 * time.Second
+
 // runWorkload sweeps one workload of one job. It returns exactly one
 // of: a result, a failure-manifest entry, or interrupted=true when the
 // server (not the job) is stopping and the job should be re-queued.
@@ -219,13 +223,13 @@ func (s *Server) runWorkload(ctx, jctx context.Context, j *job, ti int, name str
 	if j.Spec.Events > 0 && t.Len() > j.Spec.Events {
 		t = t.Slice(0, j.Spec.Events)
 	}
-	units := sweep.Shard(ti, t, cfgs, 0)
+	units := sweep.Shard(ti, t, cfgs)
 	stats := make([]cache.Stats, len(cfgs))
 	opt := sweep.Options{
 		Workers:      s.cfg.SweepWorkers,
 		Checkpoint:   s.ckptPath(j.ID, ti),
 		Retries:      s.cfg.Retries,
-		SoftDeadline: s.cfg.StallWarn,
+		SoftDeadline: stallWarn,
 		FS:           s.fs,
 		Quarantine:   true,
 		OnEvent: func(e sweep.Event) {

@@ -84,9 +84,6 @@ type Config struct {
 	// Retries is the per-unit retry budget inside each sweep
 	// (default 1; negative disables retries).
 	Retries int
-	// StallWarn is the per-unit soft deadline for the sweep watchdog;
-	// stalls are surfaced in statusz counters (default 30s).
-	StallWarn time.Duration
 	// DrainGrace is how long Run waits for running jobs after ctx is
 	// cancelled before cancelling them into their checkpoints
 	// (default 5s).
@@ -104,14 +101,6 @@ type Config struct {
 	// real one). The chaos harness passes a vfs.Faulty here to prove
 	// the service degrades honestly under storage faults.
 	FS vfs.FS
-	// BreakerThreshold is how many consecutive jobs of one tenant must
-	// end with storage-fault failures before that tenant's circuit
-	// breaker opens (default 3).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker sheds a tenant's
-	// submits before admitting a probe job again (default 30s). The
-	// cooldown is measured on the injected Now clock.
-	BreakerCooldown time.Duration
 	// Now is the clock (required by the determinism contract to be
 	// injected; cmd/simserved passes time.Now). Wall-clock values feed
 	// only Retry-After estimates, never results.
@@ -223,20 +212,11 @@ func New(cfg Config) (*Server, error) {
 	} else if cfg.Retries == 0 {
 		cfg.Retries = 1
 	}
-	if cfg.StallWarn <= 0 {
-		cfg.StallWarn = 30 * time.Second
-	}
 	if cfg.DrainGrace <= 0 {
 		cfg.DrainGrace = 5 * time.Second
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
-	}
-	if cfg.BreakerThreshold < 1 {
-		cfg.BreakerThreshold = 3
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 30 * time.Second
 	}
 	if cfg.FS == nil {
 		cfg.FS = vfs.OS{}
@@ -356,9 +336,9 @@ func (s *Server) removeCkpts(j *job) {
 }
 
 // unitsPerWorkload is how many scheduler units one workload's sweep
-// splits into under the default sharding.
+// splits into at sweep's fixed shard size.
 func unitsPerWorkload(nConfigs int) int {
-	return (nConfigs + sweep.DefaultShard - 1) / sweep.DefaultShard
+	return (nConfigs + sweep.ShardSize - 1) / sweep.ShardSize
 }
 
 // Job returns the status of one job (full results included).

@@ -105,7 +105,7 @@ func BenchmarkSweepGangSingle(b *testing.B) {
 // pre-built gang, allocation-free event fan-out.
 func BenchmarkGangAccess(b *testing.B) {
 	t := testTrace(benchEvents)
-	cfgs := paperConfigs()[:DefaultShard]
+	cfgs := paperConfigs()[:ShardSize]
 	caches := make([]*cache.Cache, len(cfgs))
 	for i, cfg := range cfgs {
 		caches[i] = cache.MustNew(cfg)

@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"cachewrite/internal/cache"
 	"cachewrite/internal/vfs"
@@ -30,10 +29,9 @@ func TestSweepCompletesUnderCheckpointFaults(t *testing.T) {
 	faulty := vfs.NewFaulty(mem, vfs.Plan{Rate: 1, Kinds: vfs.KindENOSPC})
 	var degraded, done atomic.Int64
 	got, err := Sweep(context.Background(), traces, cfgs, Options{
-		Workers:         2,
-		Checkpoint:      "/state/sweep.ckpt",
-		CheckpointEvery: 1,
-		FS:              faulty,
+		Workers:    2,
+		Checkpoint: "/state/sweep.ckpt",
+		FS:         faulty,
 		OnEvent: func(e Event) {
 			switch e.Kind {
 			case JournalDegraded:
@@ -83,7 +81,7 @@ func TestPoisonUnitQuarantine(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "poison.ckpt")
 	var poisoned, retried, collected atomic.Int64
 	err := RunUnits(context.Background(), units, Options{
-		Workers: 1, Retries: 1, RetryBackoff: time.Millisecond,
+		Workers: 1, Retries: 1,
 		Checkpoint: ckpt,
 		Quarantine: true,
 		OnEvent: func(e Event) {
@@ -125,7 +123,7 @@ func TestPoisonSkippedOnResume(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "poison.ckpt")
 	opts := func(onEvent func(Event)) Options {
 		return Options{
-			Workers: 1, Retries: 1, RetryBackoff: time.Millisecond,
+			Workers: 1, Retries: 1,
 			Checkpoint: ckpt, Quarantine: true, OnEvent: onEvent,
 		}
 	}
@@ -190,10 +188,11 @@ func TestSweepFaultyCrashResumeByteIdentical(t *testing.T) {
 			defer cancel()
 			var done atomic.Int64
 			_, err := Sweep(ctx, traces, cfgs, Options{
-				Workers: 1, Checkpoint: "/state/sweep.ckpt", CheckpointEvery: 1,
+				Workers: 1, Checkpoint: "/state/sweep.ckpt",
 				FS: faulty,
 				OnEvent: func(e Event) {
-					if e.Kind == UnitDone && done.Add(1) == 3 {
+					// Two periodic snapshots and the final flush meet the faults.
+					if e.Kind == UnitDone && done.Add(1) == 2*checkpointEvery+1 {
 						cancel()
 					}
 				},

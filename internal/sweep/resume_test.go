@@ -38,18 +38,18 @@ func TestSweepResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Interrupt: cancel after 3 completed units. A single worker makes
-	// "3 units then stop" deterministic enough; the final flush must
-	// still journal everything that completed.
+	// Interrupt: cancel one unit after the first periodic snapshot. A
+	// single worker makes "stop after N units" deterministic enough; the
+	// final flush must still journal everything that completed.
+	const stopAfter = checkpointEvery + 1
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var done atomic.Int64
 	_, err = Sweep(ctx, traces, cfgs, Options{
-		Workers:         1,
-		Checkpoint:      ckpt,
-		CheckpointEvery: 2,
+		Workers:    1,
+		Checkpoint: ckpt,
 		OnEvent: func(e Event) {
-			if e.Kind == UnitDone && done.Add(1) == 3 {
+			if e.Kind == UnitDone && done.Add(1) == stopAfter {
 				cancel()
 			}
 		},
@@ -57,7 +57,7 @@ func TestSweepResumeByteIdentical(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted sweep returned %v, want context.Canceled", err)
 	}
-	if done.Load() < 3 {
+	if done.Load() < stopAfter {
 		t.Fatalf("only %d units completed before cancel", done.Load())
 	}
 	if _, err := os.Stat(ckpt); err != nil {
@@ -82,12 +82,12 @@ func TestSweepResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Load() < 3 {
-		t.Fatalf("resume restored %d units, want >= 3", restored.Load())
+	if restored.Load() < stopAfter {
+		t.Fatalf("resume restored %d units, want >= %d", restored.Load(), stopAfter)
 	}
 	totalUnits := 0
 	for range traces {
-		totalUnits += (len(cfgs) + DefaultShard - 1) / DefaultShard
+		totalUnits += (len(cfgs) + ShardSize - 1) / ShardSize
 	}
 	if n := restored.Load() + fresh.Load(); int(n) != totalUnits {
 		t.Fatalf("restored %d + fresh %d != %d units", restored.Load(), fresh.Load(), totalUnits)
@@ -145,12 +145,12 @@ func TestSweepResumeStaleJournal(t *testing.T) {
 
 	// Journal a different sweep to the same path, interrupting it so
 	// the checkpoint file survives.
-	otherCfgs := cfgs[:DefaultShard+1]
+	otherCfgs := cfgs[:ShardSize+1]
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var done atomic.Int64
 	_, err := Sweep(ctx, traces, otherCfgs, Options{
-		Workers: 1, Checkpoint: ckpt, CheckpointEvery: 1,
+		Workers: 1, Checkpoint: ckpt,
 		OnEvent: func(e Event) {
 			if e.Kind == UnitDone && done.Add(1) == 1 {
 				cancel()
@@ -206,7 +206,7 @@ func TestRunUnitsRetriesFailedUnit(t *testing.T) {
 	}
 	var retried atomic.Int64
 	err := RunUnits(context.Background(), units, Options{
-		Workers: 1, Retries: 2, RetryBackoff: time.Millisecond,
+		Workers: 1, Retries: 2,
 		OnEvent: func(e Event) {
 			if e.Kind == UnitRetried {
 				retried.Add(1)

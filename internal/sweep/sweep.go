@@ -43,11 +43,10 @@ import (
 	"cachewrite/internal/vfs"
 )
 
-// DefaultShard is the default number of configurations driven by one
-// gang pass. Large enough to amortize the per-event fan-out loop,
-// small enough that a full paper sweep still splits into several times
-// more units than cores.
-const DefaultShard = 8
+// ShardSize is the number of configurations driven by one gang
+// pass. Eight amortizes the per-event fan-out loop, yet a full paper
+// sweep still splits into several times more units than cores.
+const ShardSize = 8
 
 // Gang simulates every configuration over the trace in a single pass
 // over its events, applying a final Flush to each cache (the
@@ -166,20 +165,14 @@ type Unit struct {
 	Base int
 }
 
-// Shard splits cfgs into shards of at most size configurations and
-// pairs each with the trace, producing independent units. size < 1
-// uses DefaultShard. The shards partition cfgs in order (unit i covers
-// cfgs[i*size : (i+1)*size]).
-func Shard(ti int, t *trace.Trace, cfgs []cache.Config, size int) []Unit {
-	if size < 1 {
-		size = DefaultShard
-	}
-	units := make([]Unit, 0, (len(cfgs)+size-1)/size)
-	for base := 0; base < len(cfgs); base += size {
-		end := base + size
-		if end > len(cfgs) {
-			end = len(cfgs)
-		}
+// Shard splits cfgs into shards of at most ShardSize configurations
+// and pairs each with the trace, producing independent units. The
+// shards partition cfgs in order (unit i covers
+// cfgs[i*ShardSize : (i+1)*ShardSize]).
+func Shard(ti int, t *trace.Trace, cfgs []cache.Config) []Unit {
+	units := make([]Unit, 0, (len(cfgs)+ShardSize-1)/ShardSize)
+	for base := 0; base < len(cfgs); base += ShardSize {
+		end := min(base+ShardSize, len(cfgs))
 		units = append(units, Unit{TraceIndex: ti, Trace: t, Cfgs: cfgs[base:end], Base: base})
 	}
 	return units
@@ -244,30 +237,22 @@ type Event struct {
 type Options struct {
 	// Workers is the scheduler pool size; < 1 means GOMAXPROCS.
 	Workers int
-	// Shard is the number of configurations per gang pass; < 1 means
-	// DefaultShard.
-	Shard int
 	// Checkpoint, when non-empty, makes the sweep crash-safe: completed
 	// unit results are journaled here (atomically, with CRC and
 	// previous-snapshot fallback), and a later run of the same sweep
 	// resumes from the journal instead of recomputing. The journal is
-	// removed when the sweep completes.
+	// snapshotted after every four newly completed units and on
+	// cancellation, and removed when the sweep completes.
 	Checkpoint string
-	// CheckpointEvery snapshots the journal after this many newly
-	// completed units (default 4). Cancellation always flushes a final
-	// snapshot regardless.
-	CheckpointEvery int
 	// SoftDeadline is the per-unit stall threshold for the worker-pool
 	// watchdog: a unit making no progress for this long is reported via
 	// OnEvent (UnitStalled). Zero disables the watchdog.
 	SoftDeadline time.Duration
 	// Retries is how many times a failed unit is re-attempted (with
-	// exponential backoff) before the sweep fails with a structured
-	// *resilience.UnitError. Zero means fail on the first error.
+	// exponential backoff from 10ms) before the sweep fails with a
+	// structured *resilience.UnitError. Zero means fail on the first
+	// error.
 	Retries int
-	// RetryBackoff is the wait before a unit's first retry, doubling on
-	// each subsequent one (default 10ms).
-	RetryBackoff time.Duration
 	// OnEvent, when non-nil, receives structured progress events. It is
 	// called under the scheduler's collect lock — keep it fast.
 	OnEvent func(Event)
@@ -303,6 +288,10 @@ func (e *PoisonedError) Error() string {
 	return fmt.Sprintf("sweep: %d unit(s) poisoned after exhausting retries: %s",
 		len(keys), strings.Join(keys, ", "))
 }
+
+// checkpointEvery is how many newly completed units RunUnits collects
+// between journal snapshots.
+const checkpointEvery = 4
 
 // journalVersion is the sweep checkpoint schema version; bump it when
 // journalState or cache.Stats changes shape.
@@ -409,10 +398,6 @@ func RunUnits(ctx context.Context, units []Unit, opt Options, collect func(Unit,
 	if workers > len(pending) {
 		workers = len(pending)
 	}
-	ckEvery := opt.CheckpointEvery
-	if ckEvery < 1 {
-		ckEvery = 4
-	}
 	gctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -454,8 +439,7 @@ func RunUnits(ctx context.Context, units []Unit, opt Options, collect func(Unit,
 				key := u.Key()
 				task := watchdog.Begin(key)
 				var stats []cache.Stats
-				err := resilience.Retry(gctx, key,
-					resilience.RetryConfig{Attempts: opt.Retries + 1, Backoff: opt.RetryBackoff},
+				err := resilience.Retry(gctx, key, opt.Retries+1,
 					func() error {
 						var gerr error
 						stats, gerr = gang(gctx, u.Trace, u.Cfgs, task)
@@ -497,11 +481,11 @@ func RunUnits(ctx context.Context, units []Unit, opt Options, collect func(Unit,
 				if journal != nil {
 					state.Done[key] = stats
 					sinceSnap++
-					if sinceSnap >= ckEvery && len(state.Done) < len(units) {
+					if sinceSnap >= checkpointEvery && len(state.Done) < len(units) {
 						// A failed snapshot degrades (the next one retries, a
 						// resume just recomputes more) — it never fails a
 						// sweep whose simulation work is succeeding.
-						//simlint:allow lockheld the checkpoint must serialize an atomic snapshot of state; snapshots are paced by ckEvery so contention is bounded
+						//simlint:allow lockheld the checkpoint must serialize an atomic snapshot of state; snapshots are paced by checkpointEvery so contention is bounded
 						degraded = journal.Save(state)
 						sinceSnap = 0
 					}
@@ -566,7 +550,7 @@ func Sweep(ctx context.Context, traces []*trace.Trace, cfgs []cache.Config, opt 
 	var units []Unit
 	for ti, t := range traces {
 		out[ti] = make([]cache.Stats, len(cfgs))
-		units = append(units, Shard(ti, t, cfgs, opt.Shard)...)
+		units = append(units, Shard(ti, t, cfgs)...)
 	}
 	err := RunUnits(ctx, units, opt, func(u Unit, stats []cache.Stats) {
 		copy(out[u.TraceIndex][u.Base:], stats)

@@ -65,6 +65,16 @@ func policyConfigs() []cache.Config {
 	return cfgs
 }
 
+// singleUnits pairs the trace with each configuration alone: one unit
+// per configuration.
+func singleUnits(tr *trace.Trace, cfgs []cache.Config) []Unit {
+	units := make([]Unit, len(cfgs))
+	for i := range cfgs {
+		units[i] = Unit{Trace: tr, Cfgs: cfgs[i : i+1], Base: i}
+	}
+	return units
+}
+
 // sequential is the baseline the gang engine must match bit-for-bit:
 // one full pass over the trace per configuration.
 func sequential(t *testing.T, tr *trace.Trace, cfgs []cache.Config) []cache.Stats {
@@ -113,7 +123,7 @@ func TestGangBadConfig(t *testing.T) {
 func TestShardPartitions(t *testing.T) {
 	tr := testTrace(1)
 	cfgs := policyConfigs()
-	units := Shard(3, tr, cfgs, 5)
+	units := Shard(3, tr, cfgs)
 	n := 0
 	for i, u := range units {
 		if u.TraceIndex != 3 || u.Trace != tr {
@@ -122,7 +132,7 @@ func TestShardPartitions(t *testing.T) {
 		if u.Base != n {
 			t.Fatalf("unit %d: base %d, want %d", i, u.Base, n)
 		}
-		if len(u.Cfgs) > 5 || len(u.Cfgs) == 0 {
+		if len(u.Cfgs) > ShardSize || len(u.Cfgs) == 0 {
 			t.Fatalf("unit %d: shard of %d configs", i, len(u.Cfgs))
 		}
 		for j, cfg := range u.Cfgs {
@@ -135,8 +145,8 @@ func TestShardPartitions(t *testing.T) {
 	if n != len(cfgs) {
 		t.Fatalf("shards cover %d configs, want %d", n, len(cfgs))
 	}
-	if got := Shard(0, tr, cfgs, 0); len(got) != (len(cfgs)+DefaultShard-1)/DefaultShard {
-		t.Fatalf("default shard size: %d units", len(got))
+	if len(units) != (len(cfgs)+ShardSize-1)/ShardSize {
+		t.Fatalf("%d configs split into %d units", len(cfgs), len(units))
 	}
 }
 
@@ -146,7 +156,7 @@ func TestSweepMatchesSequential(t *testing.T) {
 	traces := []*trace.Trace{testTrace(5000), testTrace(8000).Slice(1000, 8000)}
 	traces[1].Name = "sweeptest2"
 	cfgs := policyConfigs()[:10]
-	got, err := Sweep(context.Background(), traces, cfgs, Options{Workers: 4, Shard: 3})
+	got, err := Sweep(context.Background(), traces, cfgs, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +179,7 @@ func TestRunErrorNoDeadlock(t *testing.T) {
 	bad := Unit{Trace: tr, Cfgs: []cache.Config{{}}} // invalid: fails in cache.New
 	units := []Unit{bad}
 	for i := 0; i < 256; i++ {
-		units = append(units, Shard(0, tr, policyConfigs()[:2], 1)...)
+		units = append(units, singleUnits(tr, policyConfigs()[:2])...)
 	}
 	done := make(chan error, 1)
 	go func() {
@@ -201,7 +211,7 @@ func TestRunContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	tr := testTrace(100)
-	err := RunUnits(ctx, Shard(0, tr, policyConfigs(), 1), Options{Workers: 2}, nil)
+	err := RunUnits(ctx, singleUnits(tr, policyConfigs()), Options{Workers: 2}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunUnits on cancelled context: err = %v, want context.Canceled", err)
 	}
@@ -212,7 +222,7 @@ func TestRunEmptyAndNilCollect(t *testing.T) {
 		t.Fatalf("RunUnits with no units: %v", err)
 	}
 	tr := testTrace(100)
-	if err := RunUnits(context.Background(), Shard(0, tr, policyConfigs()[:3], 2), Options{}, nil); err != nil {
+	if err := RunUnits(context.Background(), singleUnits(tr, policyConfigs()[:3]), Options{}, nil); err != nil {
 		t.Fatalf("RunUnits with default workers and nil collect: %v", err)
 	}
 }
@@ -235,7 +245,6 @@ func TestUnevenDurationsByteIdentical(t *testing.T) {
 	workersSeen := map[int]bool{}
 	opt := Options{
 		Workers: 4,
-		Shard:   3,
 		OnEvent: func(e Event) {
 			if e.Kind == UnitDone {
 				mu.Lock()
@@ -259,7 +268,7 @@ func TestUnevenDurationsByteIdentical(t *testing.T) {
 	}
 	wantUnits := 0
 	for range traces {
-		wantUnits += (len(cfgs) + 2) / 3
+		wantUnits += (len(cfgs) + ShardSize - 1) / ShardSize
 	}
 	if len(done) != wantUnits {
 		t.Errorf("%d distinct units completed, want %d", len(done), wantUnits)

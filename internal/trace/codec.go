@@ -128,12 +128,18 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 	return t, err
 }
 
+// maxPreallocEvents caps the strict decoder's preallocation at 64 MB of
+// 8-byte events — room for the largest paper trace (grr, 4,251,231
+// events) in one allocation.
+const maxPreallocEvents = 64 << 20 / 8
+
 // readBinary is the CWT1 decode loop behind ReadBinary and
 // ReadBinaryLenient. Strict mode sizes the event slice from the header
-// and fails on the first malformed record. Lenient mode trusts no
-// header count for allocation, skips records wrapping ErrCorruptRecord
-// and stops at structural damage, reporting both in DecodeStats; it
-// fails only when the header itself is unreadable.
+// (bounded by maxPreallocEvents) and fails on the first malformed
+// record. Lenient mode trusts no header count for allocation, skips
+// records wrapping ErrCorruptRecord and stops at structural damage,
+// reporting both in DecodeStats; it fails only when the header itself
+// is unreadable.
 func readBinary(r io.Reader, lenient bool) (*Trace, DecodeStats, error) {
 	var ds DecodeStats
 	br := bufio.NewReader(r)
@@ -142,8 +148,14 @@ func readBinary(r io.Reader, lenient bool) (*Trace, DecodeStats, error) {
 	if err != nil {
 		return nil, ds, err
 	}
-	if !lenient && count > 0 && count < 1<<28 {
-		t.Events = make([]Event, 0, count)
+	if !lenient && count > 0 {
+		// Trust the declared count only up to maxPreallocEvents, and only
+		// once a record follows the header: a forged count then costs at
+		// most 64 MB, and a header with nothing behind it costs nothing.
+		// Longer traces grow by append as their records actually arrive.
+		if _, err := br.Peek(1); err == nil {
+			t.Events = make([]Event, 0, min(count, maxPreallocEvents))
+		}
 	}
 	prev := uint32(0)
 	for i := uint64(0); i < count; i++ {

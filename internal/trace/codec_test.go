@@ -3,8 +3,10 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -108,6 +110,38 @@ func TestReadBinaryTruncated(t *testing.T) {
 	}
 }
 
+// TestReadBinaryForgedCountBoundsAllocation: a header may declare up
+// to 2^64-1 events, so the strict decoder must not size its allocation
+// by the count alone. A header declaring 2^27 events with no record
+// behind it fails at EOF having allocated next to nothing; with one
+// record behind it the allocation stays within the 64 MB cap.
+func TestReadBinaryForgedCountBoundsAllocation(t *testing.T) {
+	header := []byte{'C', 'W', 'T', '1', 0, 0x80, 0x80, 0x80, 0x40} // name "", 2^27 events
+	if len(header) != 9 {
+		t.Fatalf("header is %d bytes", len(header))
+	}
+	oneRecord := append(append([]byte(nil), header...), 0x00, 0x10) // read of 1 byte at 0x10
+	for _, tc := range []struct {
+		name  string
+		in    []byte
+		limit uint64
+	}{
+		{"header only", header, 1 << 20},
+		{"one record", oneRecord, 65 << 20},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadBinary(bytes.NewReader(tc.in))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.EOF) {
+			t.Errorf("%s: err = %v, want the truncation error (io.EOF)", tc.name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= tc.limit {
+			t.Errorf("%s: decoding a forged 2^27-event header allocated %d bytes, want < %d", tc.name, got, tc.limit)
+		}
+	}
+}
+
 // TestBinaryRoundTripLarge round-trips a trace big enough to span many
 // bufio refills through both decode modes.
 func TestBinaryRoundTripLarge(t *testing.T) {
@@ -123,6 +157,9 @@ func TestBinaryRoundTripLarge(t *testing.T) {
 	got := roundTripBinary(t, tr)
 	if got.Name != tr.Name || !reflect.DeepEqual(got.Events, tr.Events) {
 		t.Fatalf("strict round trip of %d events drifted", n)
+	}
+	if cap(got.Events) != n {
+		t.Fatalf("strict decode capacity %d, want %d (one allocation sized from the header)", cap(got.Events), n)
 	}
 	lgot, ds, err := ReadBinaryLenient(&buf)
 	if err != nil {

@@ -28,14 +28,23 @@ bin="$work/cachesweep"
 
 # One shared trace cache: the golden run pays for trace generation, the
 # kill/resume attempts hit the cache so every SIGKILL lands in the
-# sweep itself rather than in generation.
-args="-workload ccom -scale 2 -workers 2 -lines 16,32 -tracecache $work/tracecache"
+# sweep itself rather than in generation. 128 configurations make 16
+# gang units; the journal snapshots every 4 completed units, so a fresh
+# sweep writes three snapshots before it finishes.
+args="-workload ccom -scale 2 -workers 2 -lines 16,32 -hits wt,wb -tracecache $work/tracecache"
 
 smoke_log "golden run"
 # shellcheck disable=SC2086
 "$bin" $args > "$work/golden.csv"
 
 ckpt="$work/sweep.ckpt"
+
+# ckpt_sum names the current journal snapshot: its checksum, or "none"
+# while there is no journal.
+ckpt_sum() {
+    cksum "$ckpt" 2>/dev/null || echo none
+}
+
 kills=0
 interrupts=0
 max_kills=3
@@ -47,12 +56,29 @@ while :; do
         smoke_fail "sweep never completed after $attempt attempts"
     fi
     set +e
+    before=$(ckpt_sum)
     # shellcheck disable=SC2086
     "$bin" $args -checkpoint "$ckpt" > "$work/resumed.csv" 2> "$work/stderr.log" &
     pid=$!
     sent_kill=no
     if [ "$kills" -lt "$max_kills" ]; then
-        sleep 0.5
+        # Kill only once this attempt has journaled a new snapshot, so
+        # every kill lands after real progress instead of racing a fixed
+        # delay. Stop waiting if the child has already exited (ps shows
+        # it gone or a zombie); the 30 s bound only keeps a wedged child
+        # from hanging the smoke.
+        polls=0
+        while [ "$polls" -lt 3000 ]; do
+            now=$(ckpt_sum)
+            if [ "$now" != none ] && [ "$now" != "$before" ]; then
+                break
+            fi
+            case $(ps -o stat= -p "$pid" 2>/dev/null) in
+            "" | Z*) break ;;
+            esac
+            sleep 0.01
+            polls=$((polls + 1))
+        done
         if kill -9 "$pid" 2>/dev/null; then
             sent_kill=yes
         fi
