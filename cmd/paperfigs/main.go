@@ -177,47 +177,80 @@ func (s *session) writeManifest(path string) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// writeReport renders every experiment (and the organization diagrams)
-// into one Markdown document. Failed experiments become a note in the
-// report and a manifest entry instead of aborting the document.
-func (s *session) writeReport(path string) error {
+// errWriter passes writes through to w until one fails, then keeps
+// that first error and fails every later write with it, so a run of
+// prints is checked once.
+type errWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (ew *errWriter) Write(p []byte) (int, error) {
+	if ew.err != nil {
+		return 0, ew.err
+	}
+	n, err := ew.w.Write(p)
+	ew.err = err
+	return n, err
+}
+
+// writeReport writes the report to the file at path; a failed write or
+// close is an error.
+func (s *session) writeReport(path string) (err error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	fmt.Fprintf(f, "# Cache Write Policies and Performance — full reproduction report\n\n")
-	fmt.Fprintf(f, "Generated by `paperfigs -report` at workload scale %d.\n\n", s.scale)
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	return s.report(f)
+}
+
+// report renders every experiment (and the organization diagrams)
+// into one Markdown document on out. Failed experiments become a note
+// in the report and a manifest entry instead of aborting the document;
+// a failed write stops it.
+func (s *session) report(out io.Writer) error {
+	w := &errWriter{w: out}
+	fmt.Fprintf(w, "# Cache Write Policies and Performance — full reproduction report\n\n")
+	fmt.Fprintf(w, "Generated by `paperfigs -report` at workload scale %d.\n\n", s.scale)
 	ids := experiments.IDs()
 	for i, id := range ids {
 		if err := s.ctx.Err(); err != nil {
 			return err
 		}
+		if w.err != nil {
+			return w.err
+		}
 		desc, _ := experiments.Describe(id)
-		fmt.Fprintf(f, "## %s — %s\n\n", id, desc)
+		fmt.Fprintf(w, "## %s — %s\n\n", id, desc)
 		res, err := s.compute(i, len(ids), id)
 		if err != nil {
-			fmt.Fprintf(f, "*Experiment failed: %v*\n\n", err)
+			fmt.Fprintf(w, "*Experiment failed: %v*\n\n", err)
 			continue
 		}
-		if err := render(f, res, "markdown", false); err != nil {
+		if err := render(w, res, "markdown", false); err != nil {
 			return err
 		}
 	}
-	fmt.Fprintf(f, "## Organization diagrams\n\n")
+	fmt.Fprintf(w, "## Organization diagrams\n\n")
 	for _, d := range diagrams {
-		fmt.Fprintf(f, "```\n%s\n```\n\n", experiments.Diagram(d))
+		fmt.Fprintf(w, "```\n%s\n```\n\n", experiments.Diagram(d))
 	}
-	return nil
+	return w.err
 }
 
 // diagrams are the ids of the paper's organization diagrams, which
 // need no simulation.
 var diagrams = []string{"fig3", "fig4", "fig6", "fig12"}
 
-// render writes one experiment's chart/table to w in the requested
-// format.
-func render(w io.Writer, res experiments.Result, format string, plot bool) error {
+// render writes one experiment's chart/table to out in the requested
+// format and reports the first failed write.
+func render(out io.Writer, res experiments.Result, format string, plot bool) error {
+	w := &errWriter{w: out}
 	if res.Chart != nil {
 		switch format {
 		case "markdown":
@@ -245,7 +278,7 @@ func render(w io.Writer, res experiments.Result, format string, plot bool) error
 			fmt.Fprintln(w, textplot.RenderTable(res.Table))
 		}
 	}
-	return nil
+	return w.err
 }
 
 func main() {
@@ -286,13 +319,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		state:  resultsState{Scale: *scale, GeneratorVersion: workload.GeneratorVersion, Results: map[string]experiments.Result{}},
 	}
 
+	out := &errWriter{w: stdout}
 	if *list {
 		for _, id := range experiments.IDs() {
 			desc, _ := experiments.Describe(id)
-			fmt.Fprintf(stdout, "%-8s %s\n", id, desc)
+			fmt.Fprintf(out, "%-8s %s\n", id, desc)
 		}
 		for _, d := range diagrams {
-			fmt.Fprintf(stdout, "%-8s (diagram)\n", d)
+			fmt.Fprintf(out, "%-8s (diagram)\n", d)
+		}
+		if out.err != nil {
+			fmt.Fprintln(stderr, "paperfigs:", out.err)
+			return 1
 		}
 		return 0
 	}
@@ -400,7 +438,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "paperfigs:", err)
 			return 1
 		}
-		fmt.Fprintln(stdout, "report written to", *report)
+		if _, err := fmt.Fprintln(stdout, "report written to", *report); err != nil {
+			fmt.Fprintln(stderr, "paperfigs:", err)
+			return 1
+		}
 		return s.finish(*failures, *checkpoint)
 	}
 
@@ -409,19 +450,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return interrupted(stderr, *checkpoint)
 		}
 		if d := experiments.Diagram(id); d != "" {
-			fmt.Fprintln(stdout, d)
-			fmt.Fprintln(stdout)
+			fmt.Fprintln(out, d)
+		} else if res, err := s.compute(i, len(selected), id); err != nil {
 			continue
-		}
-		res, err := s.compute(i, len(selected), id)
-		if err != nil {
-			continue
-		}
-		if err := render(stdout, res, *format, *plot); err != nil {
+		} else if err := render(out, res, *format, *plot); err != nil {
 			fmt.Fprintln(stderr, "paperfigs:", err)
 			return 1
 		}
-		fmt.Fprintln(stdout)
+		fmt.Fprintln(out)
+		if out.err != nil {
+			fmt.Fprintln(stderr, "paperfigs:", out.err)
+			return 1
+		}
 	}
 	return s.finish(*failures, *checkpoint)
 }

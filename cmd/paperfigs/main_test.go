@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -344,5 +346,40 @@ func TestRunReport(t *testing.T) {
 	}
 	if len(m.Failures) != 1 || m.Failures[0].ID != "fig14" || !strings.Contains(m.Failures[0].Error, "injected fault") {
 		t.Fatalf("manifest %+v, want the one fig14 failure", m)
+	}
+}
+
+// failWriter fails every write, as a full disk does.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("no space left on device") }
+
+// TestRunReportsFailedWrites: output that cannot be written makes the
+// run exit 1 with the write error, whether it goes to stdout (diagrams,
+// figures, the experiment list) or to the -report file.
+func TestRunReportsFailedWrites(t *testing.T) {
+	fastEnv(t)
+	for _, args := range [][]string{
+		{"-id", "fig3,fig4"},
+		{"-id", "fig1,fig2"},
+		{"-id", "fig1", "-format", "csv"},
+		{"-list"},
+	} {
+		var stderr bytes.Buffer
+		code := run(context.Background(), append(args, "-tracecache", "off", "-failures", ""), failWriter{}, &stderr)
+		if code != 1 || !strings.Contains(stderr.String(), "no space left on device") {
+			t.Errorf("%v to a failing stdout: exit %d, stderr:\n%s", args, code, stderr.String())
+		}
+	}
+
+	s := &session{ctx: context.Background(), stderr: io.Discard}
+	if err := s.report(failWriter{}); err == nil {
+		t.Error("report to a failing writer returned nil")
+	}
+	if _, err := os.Stat("/dev/full"); err == nil {
+		code, _, stderr := runCLI(t, "-report", "/dev/full", "-tracecache", "off", "-failures", "")
+		if code != 1 {
+			t.Errorf("-report /dev/full: exit %d, stderr:\n%s", code, stderr)
+		}
 	}
 }

@@ -558,11 +558,14 @@ func (c *Cache) byteMask(off, n uint32) uint64 {
 }
 
 // LineState reports the resident state of the line containing addr, for
-// tests and debugging tools.
+// tests, debugging tools and the coherence protocol's per-line state.
 type LineState struct {
 	Present bool
 	Valid   uint64 // per-byte valid mask
 	Dirty   uint64 // per-byte dirty mask
+	// Frame is the index, in [0, Size/LineSize), of the frame holding
+	// the line (set*Assoc + way); meaningful only when Present.
+	Frame int
 }
 
 // Probe inspects the cache without disturbing its state.
@@ -572,7 +575,7 @@ func (c *Cache) Probe(addr uint32) LineState {
 	tag := lineNum >> c.setShift
 	if w := c.findWay(base, tag); w >= 0 {
 		l := c.lines[base+w]
-		return LineState{Present: true, Valid: l.valid, Dirty: l.dirty}
+		return LineState{Present: true, Valid: l.valid, Dirty: l.dirty, Frame: base + w}
 	}
 	return LineState{}
 }
@@ -714,7 +717,7 @@ func (c *Cache) VisitResident(fn func(addr uint32, st LineState)) {
 		if l.valid == 0 {
 			continue
 		}
-		fn(c.lineAddrOf(i/c.cfg.Assoc, l.tag), LineState{Present: true, Valid: l.valid, Dirty: l.dirty})
+		fn(c.lineAddrOf(i/c.cfg.Assoc, l.tag), LineState{Present: true, Valid: l.valid, Dirty: l.dirty, Frame: i})
 	}
 }
 

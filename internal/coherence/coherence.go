@@ -34,6 +34,7 @@ package coherence
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cachewrite/internal/cache"
 	"cachewrite/internal/hierarchy"
@@ -169,11 +170,15 @@ type core struct {
 	l1 *cache.Cache
 	// invalidated records line numbers removed from this core's L1 by
 	// a coherence action; a later tag miss on such a line is a sharing
-	// miss (entry consumed on first re-access).
-	invalidated map[uint32]struct{}
-	// hybrid counts consecutive remote updates per resident line
-	// (Hybrid scheme only); a local reference resets the count.
-	hybrid map[uint32]uint16
+	// miss (entry consumed on first re-access). It outlives the frame:
+	// the mark stays after another line reuses it.
+	invalidated lineSet
+	// hybrid counts consecutive remote updates per L1 frame (Hybrid
+	// scheme with remote cores only). After every local access each touched line's frame
+	// restarts at zero, which covers both a local reference and a
+	// fill. A non-resident line's count is never read, because
+	// refetching the line takes a local access.
+	hybrid []uint8
 }
 
 // System is the N-core simulator. Not safe for concurrent use.
@@ -208,10 +213,9 @@ func New(cfg Config) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.cores[i] = core{
-			l1:          l1,
-			invalidated: make(map[uint32]struct{}),
-			hybrid:      make(map[uint32]uint16),
+		s.cores[i].l1 = l1
+		if cfg.Scheme == Hybrid && cfg.Cores > 1 {
+			s.cores[i].hybrid = make([]uint8, cfg.L1.Size/cfg.L1.LineSize)
 		}
 		l1.SetBackside(s.back)
 	}
@@ -266,7 +270,18 @@ func (s *System) Access(c int, e trace.Event) {
 			remaining -= n
 		}
 	}
-	s.cores[c].l1.Access(e)
+	me := &s.cores[c]
+	me.l1.Access(e)
+	if me.hybrid != nil {
+		// A local reference resets the competitive update counter (the
+		// core still cares about the line), and so does a fill.
+		last := (e.Addr + uint32(e.Size) - 1) >> s.lineShift
+		for ln := e.Addr >> s.lineShift; ln <= last; ln++ {
+			if st := me.l1.Probe(ln << s.lineShift); st.Present {
+				me.hybrid[st.Frame] = 0
+			}
+		}
+	}
 }
 
 // snoopSpan handles the protocol for the portion of an access within
@@ -279,16 +294,8 @@ func (s *System) snoopSpan(c int, kind trace.Kind, addr, n uint32) {
 	me := &s.cores[c]
 
 	local := me.l1.Probe(addr)
-	if !local.Present {
-		if _, ok := me.invalidated[lineNum]; ok {
-			delete(me.invalidated, lineNum)
-			s.stats.SharingMisses++
-		}
-	}
-	// A local reference resets the competitive update counter: the
-	// core still cares about this line.
-	if s.cfg.Scheme == Hybrid {
-		delete(me.hybrid, lineNum)
+	if !local.Present && me.invalidated.take(lineNum) {
+		s.stats.SharingMisses++
 	}
 
 	mask := spanMask(addr&(s.lineSize-1), n)
@@ -320,7 +327,7 @@ func (s *System) snoopSpan(c int, kind trace.Kind, addr, n uint32) {
 			if lines, _ := r.l1.InvalidateRange(lineAddr, int(s.lineSize)); lines > 0 {
 				found = true
 				s.stats.InvalidationsReceived++
-				r.invalidated[lineNum] = struct{}{}
+				r.invalidated.add(lineNum)
 			}
 		default:
 			found = s.update(r, addr, n, lineNum, lineAddr) || found
@@ -376,26 +383,23 @@ func (s *System) flush(r *core, lineAddr uint32) {
 // copy that has absorbed HybridK updates with no local reference
 // self-invalidates instead of taking another.
 func (s *System) update(r *core, addr, n, lineNum, lineAddr uint32) bool {
-	if !r.l1.Probe(lineAddr).Present {
-		if s.cfg.Scheme == Hybrid {
-			delete(r.hybrid, lineNum)
-		}
+	st := r.l1.Probe(lineAddr)
+	if !st.Present {
 		return false
 	}
-	if s.cfg.Scheme == Hybrid {
-		cnt := r.hybrid[lineNum] + 1
+	if r.hybrid != nil {
+		cnt := r.hybrid[st.Frame] + 1
 		if cnt >= HybridK {
 			// Competitive threshold reached: stop paying for updates
 			// this core is not reading; flush any dirty claim and drop
 			// the copy. The broadcast still happened.
-			delete(r.hybrid, lineNum)
 			s.flush(r, lineAddr)
 			r.l1.InvalidateRange(lineAddr, int(s.lineSize))
 			s.stats.HybridInvalidations++
-			r.invalidated[lineNum] = struct{}{}
+			r.invalidated.add(lineNum)
 			return true
 		}
-		r.hybrid[lineNum] = cnt
+		r.hybrid[st.Frame] = cnt
 	}
 	r.l1.SnoopUpdate(addr, uint8(n))
 	s.stats.UpdatesReceived++
@@ -467,4 +471,74 @@ func spanMask(off, n uint32) uint64 {
 		return ^uint64(0)
 	}
 	return ((uint64(1) << n) - 1) << off
+}
+
+// lineSet is a set of line numbers: open addressing with linear
+// probing and backward-shift deletion, so removal leaves no
+// tombstones. A slot holds line+1 (line numbers stay below 2^30, as
+// lines are at least 4 bytes), so zero marks an empty slot.
+type lineSet struct {
+	slots []uint32 // power-of-two length
+	shift uint     // 32 - log2(len(slots)): keeps the top hash bits
+	n     int
+}
+
+// home is the slot a key hashes to (Fibonacci hashing).
+func (t *lineSet) home(key uint32) int { return int(key * 0x9e3779b1 >> t.shift) }
+
+// add inserts line; adding a member again is a no-op.
+func (t *lineSet) add(line uint32) {
+	if 2*(t.n+1) > len(t.slots) {
+		t.grow()
+	}
+	key, mask := line+1, len(t.slots)-1
+	i := t.home(key)
+	for ; t.slots[i] != 0; i = (i + 1) & mask {
+		if t.slots[i] == key {
+			return
+		}
+	}
+	t.slots[i] = key
+	t.n++
+}
+
+// take removes line and reports whether it was a member.
+func (t *lineSet) take(line uint32) bool {
+	if t.n == 0 {
+		return false
+	}
+	key, mask := line+1, len(t.slots)-1
+	i := t.home(key)
+	for t.slots[i] != key {
+		if t.slots[i] == 0 {
+			return false
+		}
+		i = (i + 1) & mask
+	}
+	// Close the hole: a later key in the probe run moves into it
+	// unless its home lies cyclically in (hole, its slot].
+	for j := (i + 1) & mask; t.slots[j] != 0; j = (j + 1) & mask {
+		if (j-t.home(t.slots[j]))&mask >= (j-i)&mask {
+			t.slots[i] = t.slots[j]
+			i = j
+		}
+	}
+	t.slots[i] = 0
+	t.n--
+	return true
+}
+
+// grow doubles the table (64 slots at first) and reinserts every
+// member, keeping the load at or below one half.
+func (t *lineSet) grow() {
+	old := t.slots
+	size := max(2*len(old), 64)
+	t.slots = make([]uint32, size)
+	t.shift = uint(32 - bits.TrailingZeros(uint(size)))
+	t.n = 0
+	for _, key := range old {
+		if key != 0 {
+			t.add(key - 1)
+		}
+	}
 }

@@ -497,3 +497,104 @@ func TestSchemeTrafficTradeoff(t *testing.T) {
 		t.Error("hybrid: competitive threshold never fired")
 	}
 }
+
+// TestHybridCountStartsFresh: the competitive count belongs to the
+// resident copy, not to the line number or the frame. A copy evicted by
+// capacity and refetched starts from zero, and so does the line that
+// took over its frame in between.
+func TestHybridCountStartsFresh(t *testing.T) {
+	sys := mustSystem(t, Config{Cores: 2,
+		L1: l1cfg(cache.WriteBack, cache.FetchOnWrite), L2: l2cfg(), Scheme: Hybrid})
+	const a, b = 0x300, 0x300 + 1<<10 // one L1 set apart: b evicts a
+	rd := func(addr uint32) trace.Event { return trace.Event{Addr: addr, Size: 4, Kind: trace.Read} }
+	wr := func(addr uint32) trace.Event { return trace.Event{Addr: addr, Size: 4, Kind: trace.Write} }
+	updates := func(addr uint32) {
+		t.Helper()
+		for i := 1; i < HybridK; i++ {
+			sys.Access(0, wr(addr))
+			if !sys.L1(1).Probe(addr).Present {
+				t.Fatalf("copy of %#x dropped at update %d: its count did not start from zero", addr, i)
+			}
+		}
+	}
+
+	sys.Access(1, rd(a))
+	updates(a)           // a's count is HybridK-1
+	sys.Access(1, rd(b)) // capacity eviction of a; b takes the frame
+	updates(b)
+	sys.Access(1, rd(a)) // refetch a, evicting b
+	updates(a)
+	sys.Access(0, wr(a)) // update HybridK since the refetch
+	if sys.L1(1).Probe(a).Present {
+		t.Fatal("refetched copy survived past the competitive threshold")
+	}
+	st := sys.Stats()
+	if st.HybridInvalidations != 1 {
+		t.Fatalf("hybrid invalidations = %d, want 1", st.HybridInvalidations)
+	}
+	if want := uint64(3 * (HybridK - 1)); st.UpdatesReceived != want {
+		t.Fatalf("updates received = %d, want %d", st.UpdatesReceived, want)
+	}
+}
+
+// TestSharingMissOutlivesFrame: a line removed by a coherence action
+// stays marked after another line reuses its frame, and the mark is
+// consumed by the first re-access: a later capacity miss on the same
+// line is not a sharing miss.
+func TestSharingMissOutlivesFrame(t *testing.T) {
+	sys := mustSystem(t, Config{Cores: 2,
+		L1: l1cfg(cache.WriteBack, cache.FetchOnWrite), L2: l2cfg(), Scheme: Invalidate})
+	const a, b = 0x100, 0x100 + 1<<10 // one L1 set apart
+	rd := func(addr uint32) trace.Event { return trace.Event{Addr: addr, Size: 4, Kind: trace.Read} }
+
+	sys.Access(1, rd(a))
+	sys.Access(0, trace.Event{Addr: a, Size: 4, Kind: trace.Write}) // invalidates core 1's copy
+	sys.Access(1, rd(b))                                            // b reuses the frame
+	if n := sys.Stats().SharingMisses; n != 0 {
+		t.Fatalf("sharing misses after filling the frame with another line = %d, want 0", n)
+	}
+	sys.Access(1, rd(a)) // first re-access: a sharing miss
+	if n := sys.Stats().SharingMisses; n != 1 {
+		t.Fatalf("sharing misses after the re-access = %d, want 1", n)
+	}
+	sys.Access(1, rd(b)) // evicts a by capacity
+	sys.Access(1, rd(a)) // a capacity miss, the mark already consumed
+	if n := sys.Stats().SharingMisses; n != 1 {
+		t.Fatalf("sharing misses after a capacity miss = %d, want 1 (mark not consumed)", n)
+	}
+}
+
+// TestLineSetMatchesMap drives the open-addressed sharing-miss set and
+// a Go map through the same random adds and takes. Keys come from a
+// small range so probe runs collide, wrap and close over deletions.
+func TestLineSetMatchesMap(t *testing.T) {
+	var set lineSet
+	want := map[uint32]bool{}
+	rng := uint64(0x9e3779b97f4a7c15)
+	for i := 0; i < 200000; i++ {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		line := uint32(rng>>8) % 700
+		if rng&3 == 0 {
+			line += 1 << 29 // a high line number too
+		}
+		if rng>>4&1 == 0 {
+			set.add(line)
+			want[line] = true
+			continue
+		}
+		if got := set.take(line); got != want[line] {
+			t.Fatalf("op %d: take(%d) = %v, want %v", i, line, got, want[line])
+		}
+		delete(want, line)
+	}
+	if set.n != len(want) {
+		t.Fatalf("set holds %d lines, want %d", set.n, len(want))
+	}
+	for line := range want {
+		if !set.take(line) {
+			t.Fatalf("member %d lost", line)
+		}
+	}
+}

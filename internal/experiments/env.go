@@ -135,8 +135,10 @@ func (e *Env) store(k memoKey, s cache.Stats) {
 
 // Computes reports how many memo misses the environment has had: every
 // simulation it actually ran, whether a cache, write-cache or coherent
-// one. Results seeded by PrecomputeSweep are not counted. Tests use it
-// to assert compute-once semantics and that runners share simulations.
+// one, plus the one compacted base trace per benchmark that the
+// coherent workloads share. Results seeded by PrecomputeSweep are not
+// counted. Tests use it to assert compute-once semantics and that
+// runners share simulations.
 func (e *Env) Computes() uint64 { return e.computes.Load() }
 
 // stdConfig returns the baseline write-back fetch-on-write cache used

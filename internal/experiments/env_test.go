@@ -68,9 +68,10 @@ func TestCacheStatsComputeOnceConcurrent(t *testing.T) {
 // TestRunnersShareSimulations: runners that read one sweep share its
 // simulations through the memo. After the gang precompute, Fig 7 runs
 // the 17 write-cache sizes per trace and Figs 8-9 reuse them;
-// ext-coh-miss runs 4 policies x 4 sharing degrees per trace,
-// ext-coh-traffic reuses them, and ext-coh-schemes adds only its two
-// non-MSI schemes.
+// ext-coh-miss runs 4 policies x 4 sharing degrees per trace (plus one
+// compacted base trace per trace, a memo entry too), ext-coh-traffic
+// reuses them, and ext-coh-schemes adds only its two non-MSI schemes
+// and its shared-L1 baseline per trace.
 func TestRunnersShareSimulations(t *testing.T) {
 	env := syntheticEnv()
 	if err := env.PrecomputeSweep(context.Background(), sweep.Options{Workers: 2}); err != nil {
@@ -84,9 +85,9 @@ func TestRunnersShareSimulations(t *testing.T) {
 		{"fig7", 17 * n},
 		{"fig8", 0},
 		{"fig9", 0},
-		{"ext-coh-miss", 16 * n},
+		{"ext-coh-miss", 16*n + n},
 		{"ext-coh-traffic", 0},
-		{"ext-coh-schemes", 2 * n},
+		{"ext-coh-schemes", 2*n + n},
 	} {
 		before := env.Computes()
 		if _, err := Run(env, c.id); err != nil {
